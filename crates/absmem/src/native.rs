@@ -4,8 +4,10 @@
 
 use crate::{Addr, ThreadCtx};
 use simalloc::{ThreadCache, WordPool};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Nominal clock used to convert between cycles and nanoseconds: the
@@ -65,6 +67,9 @@ pub fn busy_wait_cycles(cycles: u64) {
 }
 
 /// A fixed-capacity native heap of 64-bit words shared by all threads.
+/// The words come from zeroed allocator memory: a large heap is mapped
+/// from fresh zero pages, so a run pays only for the pages it touches,
+/// as it would under any scalable allocator.
 pub struct NativeHeap {
     words: Box<[AtomicU64]>,
     pool: Arc<WordPool>,
@@ -75,10 +80,15 @@ impl NativeHeap {
     /// Creates a heap with capacity for `words` words. Word 0 is the NULL
     /// sentinel. Allocation past the capacity panics — size generously.
     pub fn new(words: usize) -> Self {
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
+        // `vec![0; n]` allocates through `alloc_zeroed`, which hands out
+        // untouched zero pages for large blocks instead of writing them.
+        let zeroed = Box::into_raw(vec![0u64; words].into_boxed_slice());
+        // SAFETY: `AtomicU64` has the size and bit validity of `u64`, and
+        // (asserted below) its alignment, so the allocation's layout is
+        // unchanged and every all-zero word is a valid atomic.
+        let words = unsafe { Box::from_raw(zeroed as *mut [AtomicU64]) };
         NativeHeap {
-            words: v.into_boxed_slice(),
+            words,
             pool: Arc::new(WordPool::new(8)),
             epoch: Instant::now(),
         }
@@ -109,6 +119,74 @@ impl NativeHeap {
     }
 }
 
+const _: () = assert!(std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>());
+
+const BROKEN: &str = "barrier broken by a sibling's panic";
+
+/// The rendezvous of a native thread group. Unlike `std::sync::Barrier`
+/// it can be broken: once a member panics, [`GroupBarrier::poison`] wakes
+/// every waiter, and they — and any later arrival — panic instead of
+/// waiting forever for a thread that will never come.
+pub struct GroupBarrier {
+    size: usize,
+    state: Mutex<BarrierState>,
+    cv: Condvar,
+}
+
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    poisoned: bool,
+}
+
+impl GroupBarrier {
+    /// A barrier that releases every `size` arrivals.
+    pub fn new(size: usize) -> GroupBarrier {
+        GroupBarrier {
+            size: size.max(1),
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                generation: 0,
+                poisoned: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Blocks until `size` threads have arrived. Panics if the barrier is
+    /// or becomes poisoned before this generation is released.
+    pub fn wait(&self) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let generation = st.generation;
+        if !st.poisoned {
+            st.arrived += 1;
+            if st.arrived == self.size {
+                st.arrived = 0;
+                st.generation += 1;
+                self.cv.notify_all();
+                return;
+            }
+            st = self
+                .cv
+                .wait_while(st, |s| s.generation == generation && !s.poisoned)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.generation == generation {
+            drop(st);
+            panic!("{BROKEN}");
+        }
+    }
+
+    /// Breaks the barrier for good: current and future waiters panic.
+    pub fn poison(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .poisoned = true;
+        self.cv.notify_all();
+    }
+}
+
 /// Per-thread handle onto a [`NativeHeap`].
 pub struct NativeCtx {
     heap: Arc<NativeHeap>,
@@ -116,14 +194,14 @@ pub struct NativeCtx {
     cache: ThreadCache,
     /// The thread group's rendezvous, shared by every context of one run;
     /// `None` for standalone contexts, whose `barrier()` panics.
-    barrier: Option<Arc<Barrier>>,
+    barrier: Option<Arc<GroupBarrier>>,
 }
 
 impl NativeCtx {
     /// Attaches this context to a thread group's barrier (sized to the
     /// number of participating threads). All contexts that will
-    /// rendezvous must share one `Arc<Barrier>`.
-    pub fn with_barrier(mut self, barrier: Arc<Barrier>) -> NativeCtx {
+    /// rendezvous must share one `Arc<GroupBarrier>`.
+    pub fn with_barrier(mut self, barrier: Arc<GroupBarrier>) -> NativeCtx {
         self.barrier = Some(barrier);
         self
     }
@@ -204,17 +282,65 @@ pub fn run_threads<R: Send>(
     nthreads: usize,
     f: impl Fn(&mut NativeCtx) -> R + Sync,
 ) -> Vec<R> {
-    let barrier = Arc::new(Barrier::new(nthreads));
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nthreads)
-            .map(|tid| {
+    let f = &f;
+    run_group(
+        heap,
+        (0..nthreads)
+            .map(|_| move |ctx: &mut NativeCtx| f(ctx))
+            .collect(),
+    )
+}
+
+/// Runs each job on its own scoped OS thread, job `i` as thread id `i`,
+/// all sharing one [`GroupBarrier`], and returns their results in order.
+/// A panicking job poisons the barrier so its siblings cannot hang in it;
+/// once every thread has stopped, the first panic is re-raised.
+pub fn run_group<R, F>(heap: &Arc<NativeHeap>, jobs: Vec<F>) -> Vec<R>
+where
+    R: Send,
+    F: FnOnce(&mut NativeCtx) -> R + Send,
+{
+    let barrier = Arc::new(GroupBarrier::new(jobs.len()));
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let results: Vec<Option<R>> = std::thread::scope(|s| {
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(tid, job)| {
                 let mut ctx = heap.ctx(tid).with_barrier(Arc::clone(&barrier));
-                let f = &f;
-                s.spawn(move || f(&mut ctx))
+                let (barrier, first_panic) = (&barrier, &first_panic);
+                s.spawn(
+                    move || match catch_unwind(AssertUnwindSafe(|| job(&mut ctx))) {
+                        Ok(r) => Some(r),
+                        Err(payload) => {
+                            // Record before poisoning, so the panic that broke
+                            // the barrier wins over the siblings' it causes.
+                            first_panic
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .get_or_insert(payload);
+                            barrier.poison();
+                            None
+                        }
+                    },
+                )
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("job panics are caught"))
+            .collect()
+    });
+    if let Some(payload) = first_panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("only panicking jobs have no result"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -30,8 +30,10 @@
 //!   bootstrap trampoline. `machine.rs` wraps every program in
 //!   `catch_unwind` and reports the payload through its channel.
 //! * **A fiber dropped while suspended leaks whatever its stack frames
-//!   own** — destructors of suspended locals never run. This only
-//!   happens when a run is being torn down by a panic.
+//!   own** — destructors of suspended locals never run. The machine's
+//!   panic teardown therefore resumes each suspended fiber cancelled, so
+//!   its program unwinds and its entry closure returns, before dropping
+//!   it.
 
 use std::cell::Cell;
 use std::mem::MaybeUninit;
@@ -48,6 +50,19 @@ pub const DEFAULT_STACK: usize = 1 << 16;
 /// Written to the lowest stack word at creation; overwritten only by a
 /// stack overflow.
 const CANARY: u128 = 0xFEED_FACE_CAFE_BEEF_DEAD_C0DE_5AFE_57AC;
+
+/// Where a finished fiber parks for good, as two context cells: the
+/// entry closure returns this when its work is done, and the bootstrap
+/// frame — after the closure's box and captures are freed — saves the
+/// fiber's context into `save` and resumes the context held in `resume`.
+/// Both cells must outlive the fiber.
+pub struct Park {
+    pub save: *const Cell<*mut u8>,
+    pub resume: *const Cell<*mut u8>,
+}
+
+/// The entry closure of a fiber.
+pub type Entry = Box<dyn FnOnce() -> Park>;
 
 /// A suspended program stack. Created with an entry closure; the first
 /// [`switch`] to its context runs the closure on the new stack.
@@ -67,17 +82,18 @@ pub struct Fiber {
 
 /// Words at the stack top consumed by the bootstrap frame and the entry
 /// closure slot (96 bytes: the 80-byte register frame plus the 16-byte
-/// `Box<dyn FnOnce()>`).
+/// [`Entry`] box).
 const FRAME_WORDS: usize = 6;
 
 impl Fiber {
     /// Builds a fiber that runs `f` when first switched to, returning the
     /// fiber and the context (stack pointer) to pass to [`switch`].
     ///
-    /// `f` must never return: it must end by switching away permanently
-    /// (the process aborts if it does return). `f` must also never let a
-    /// panic unwind out — wrap the fallible part in `catch_unwind`.
-    pub fn new(stack_bytes: usize, f: Box<dyn FnOnce()>) -> (Fiber, *mut u8) {
+    /// When `f` returns, its box is freed and the fiber parks as the
+    /// returned [`Park`] says; it must never be resumed after that. `f`
+    /// must never let a panic unwind out — wrap the fallible part in
+    /// `catch_unwind`.
+    pub fn new(stack_bytes: usize, f: Entry) -> (Fiber, *mut u8) {
         // Room for the bootstrap frame (80 bytes) + closure slot (16) on
         // top of whatever `f` needs.
         let words = stack_bytes.div_ceil(16).max(64);
@@ -86,7 +102,7 @@ impl Fiber {
         let top = unsafe { stack.as_mut_ptr().add(words) } as *mut u8;
 
         // Stack layout, descending from `top` (16-byte aligned):
-        //   top-16 : Box<dyn FnOnce()>  (the entry closure, by value)
+        //   top-16 : Entry  (the entry closure's box, by value)
         //   top-24 : return address     -> fiber_entry
         //   top-32 : rbp slot           =  0
         //   top-40 : rbx slot           =  &closure  (fiber_entry reads it)
@@ -100,7 +116,7 @@ impl Fiber {
         // top-16, which is 16-byte aligned as the ABI requires before a
         // `call`.
         unsafe {
-            let slot = top.sub(16) as *mut Box<dyn FnOnce()>;
+            let slot = top.sub(16) as *mut Entry;
             slot.write(f);
             (top.sub(24) as *mut u64).write(fiber_entry as *const () as u64);
             (top.sub(32) as *mut u64).write(0);
@@ -211,15 +227,20 @@ unsafe extern "sysv64" fn fiber_entry() {
     )
 }
 
-/// Takes the entry closure out of its stack slot and runs it.
-unsafe extern "sysv64" fn fiber_main(slot: *mut Box<dyn FnOnce()>) -> ! {
+/// Takes the entry closure out of its stack slot, runs it, and parks the
+/// fiber where it says. The call consumes the box, so the closure and its
+/// captures are freed before the stack parks (a stack parked inside the
+/// closure would leak them).
+unsafe extern "sysv64" fn fiber_main(slot: *mut Entry) -> ! {
     // SAFETY: `slot` holds the closure placed by `Fiber::new`; this is
     // its only read.
     let f = unsafe { slot.read() };
-    f();
-    // The closure contract says it never returns; there is no frame to
-    // return into.
-    std::process::abort();
+    let park = f();
+    loop {
+        // SAFETY: `Park`'s contract: both cells outlive the fiber, and
+        // nothing resumes a parked fiber, so this switch never returns.
+        unsafe { switch(&*park.save, (*park.resume).get()) };
+    }
 }
 
 #[cfg(test)]
@@ -227,66 +248,126 @@ mod tests {
     use super::*;
     use std::rc::Rc;
 
+    /// The two context cells of a scheduler-less test: main's and the
+    /// fiber's. The fiber parks back into main when its closure returns.
+    struct Ctxs {
+        main: Rc<Cell<*mut u8>>,
+        fiber: Rc<Cell<*mut u8>>,
+    }
+
+    impl Ctxs {
+        fn new() -> Ctxs {
+            Ctxs {
+                main: Rc::new(Cell::new(std::ptr::null_mut())),
+                fiber: Rc::new(Cell::new(std::ptr::null_mut())),
+            }
+        }
+
+        /// Builds a fiber running `f` with a copy of the cells, and
+        /// records its entry context.
+        fn spawn(&self, stack: usize, f: impl FnOnce(&Ctxs) + 'static) -> Fiber {
+            let cells = Ctxs {
+                main: Rc::clone(&self.main),
+                fiber: Rc::clone(&self.fiber),
+            };
+            let (fb, entry) = Fiber::new(
+                stack,
+                Box::new(move || {
+                    f(&cells);
+                    Park {
+                        save: Rc::as_ptr(&cells.fiber),
+                        resume: Rc::as_ptr(&cells.main),
+                    }
+                }),
+            );
+            self.fiber.set(entry);
+            fb
+        }
+
+        /// Main side: runs the fiber until it next switches back.
+        fn enter(&self) {
+            unsafe { switch(&self.main, self.fiber.get()) };
+        }
+
+        /// Fiber side: yields back to main.
+        fn yield_to_main(&self) {
+            unsafe { switch(&self.fiber, self.main.get()) };
+        }
+    }
+
     /// A scheduler-less ping-pong: main resumes the fiber N times; the
-    /// fiber increments a counter and yields back each time.
+    /// fiber increments a counter and yields back each time, and its
+    /// last step is to return and park.
     #[test]
     fn ping_pong() {
         let count = Rc::new(Cell::new(0u64));
-        let main_ctx = Rc::new(Cell::new(std::ptr::null_mut::<u8>()));
-        let fiber_ctx = Rc::new(Cell::new(std::ptr::null_mut::<u8>()));
-
-        let (fb, entry) = {
+        let ctxs = Ctxs::new();
+        let fb = {
             let count = Rc::clone(&count);
-            let main_ctx = Rc::clone(&main_ctx);
-            let fiber_ctx = Rc::clone(&fiber_ctx);
-            Fiber::new(
-                DEFAULT_STACK,
-                Box::new(move || loop {
-                    count.set(count.get() + 1);
-                    unsafe { switch(&fiber_ctx, main_ctx.get()) };
-                }),
-            )
+            ctxs.spawn(DEFAULT_STACK, move |c| loop {
+                count.set(count.get() + 1);
+                if count.get() == 1000 {
+                    break;
+                }
+                c.yield_to_main();
+            })
         };
-        fiber_ctx.set(entry);
-
         for expect in 1..=1000u64 {
-            unsafe { switch(&main_ctx, fiber_ctx.get()) };
+            ctxs.enter();
             assert_eq!(count.get(), expect);
         }
         assert!(fb.canary_ok());
-        // The fiber is dropped suspended; its (empty) loop owns nothing.
+    }
+
+    /// A returning entry closure is freed, captures and all, before its
+    /// fiber parks.
+    #[test]
+    fn returning_closure_is_freed_before_parking() {
+        let token = Rc::new(());
+        let ctxs = Ctxs::new();
+        let held = Rc::clone(&token);
+        let fb = ctxs.spawn(DEFAULT_STACK, move |c| {
+            c.yield_to_main();
+            drop(held);
+        });
+        ctxs.enter();
+        assert_eq!(Rc::strong_count(&token), 2, "closure running, capture live");
+        ctxs.enter();
+        assert_eq!(
+            Rc::strong_count(&token),
+            1,
+            "parked fiber still owns its capture"
+        );
+        // Main's context cells are the only remaining owners too.
+        assert_eq!(Rc::strong_count(&ctxs.main), 1);
+        drop(fb);
+    }
+
+    /// Recursion `n` frames deep, each holding a 64-byte array. The
+    /// array escapes after the recursive call, so every frame keeps its
+    /// own copy even in optimized builds (no loop conversion).
+    fn burn(n: u64) -> u64 {
+        let pad = [n; 8];
+        if n == 0 {
+            return pad[0];
+        }
+        let below = burn(n - 1);
+        below + std::hint::black_box(&pad)[7]
     }
 
     /// Deep recursion on the fiber stack works, and the canary survives
     /// within bounds.
     #[test]
     fn uses_own_stack() {
-        fn burn(n: u64) -> u64 {
-            let pad = [n; 8];
-            if n == 0 {
-                pad[0]
-            } else {
-                burn(n - 1) + std::hint::black_box(pad[7])
-            }
-        }
-        let main_ctx = Rc::new(Cell::new(std::ptr::null_mut::<u8>()));
         let out = Rc::new(Cell::new(0u64));
-        let (fb, entry) = {
-            let main_ctx = Rc::clone(&main_ctx);
+        let ctxs = Ctxs::new();
+        // Deep recursion wants more than the 64 KiB default (especially
+        // in debug builds); give it an explicit 1 MiB.
+        let fb = {
             let out = Rc::clone(&out);
-            // Deep recursion wants more than the 64 KiB default
-            // (especially in debug builds); give it an explicit 1 MiB.
-            Fiber::new(
-                1 << 20,
-                Box::new(move || {
-                    out.set(burn(1000));
-                    loop {
-                        unsafe { switch(&Cell::new(std::ptr::null_mut()), main_ctx.get()) };
-                    }
-                }),
-            )
+            ctxs.spawn(1 << 20, move |_| out.set(burn(1000)))
         };
-        unsafe { switch(&main_ctx, entry) };
+        ctxs.enter();
         assert_eq!(out.get(), (1..=1000u64).sum::<u64>());
         assert!(fb.canary_ok());
     }
@@ -294,30 +375,13 @@ mod tests {
     /// A painted stack reports a high-water mark that tracks actual use.
     #[test]
     fn paint_reports_high_water() {
-        fn burn(n: u64) -> u64 {
-            let pad = [n; 8];
-            if n == 0 {
-                pad[0]
-            } else {
-                burn(n - 1) + std::hint::black_box(pad[7])
-            }
-        }
-        let main_ctx = Rc::new(Cell::new(std::ptr::null_mut::<u8>()));
-        let (mut fb, entry) = {
-            let main_ctx = Rc::clone(&main_ctx);
-            Fiber::new(
-                1 << 20,
-                Box::new(move || {
-                    std::hint::black_box(burn(100));
-                    loop {
-                        unsafe { switch(&Cell::new(std::ptr::null_mut()), main_ctx.get()) };
-                    }
-                }),
-            )
-        };
+        let ctxs = Ctxs::new();
+        let mut fb = ctxs.spawn(1 << 20, |_| {
+            std::hint::black_box(burn(100));
+        });
         assert_eq!(fb.high_water(), None, "unpainted stacks are unreadable");
         fb.paint();
-        unsafe { switch(&main_ctx, entry) };
+        ctxs.enter();
         assert!(fb.canary_ok());
         let hwm = fb.high_water().expect("painted");
         // 100 frames of at least 64 bytes of locals each, but nowhere

@@ -454,6 +454,11 @@ struct Chan {
     panic: RefCell<Option<Box<dyn std::any::Any + Send>>>,
     /// The program's final simulated time, recorded at retirement.
     end_time: Cell<u64>,
+    /// Set by the pump's teardown: the fiber's next resumption unwinds
+    /// its program instead of delivering a response.
+    cancel: Cell<bool>,
+    /// True once the fiber's entry closure has returned and it parked.
+    retired: Cell<bool>,
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -466,6 +471,8 @@ impl Chan {
             fiber_rsp: Cell::new(std::ptr::null_mut()),
             panic: RefCell::new(None),
             end_time: Cell::new(0),
+            cancel: Cell::new(false),
+            retired: Cell::new(false),
         }
     }
 }
@@ -481,8 +488,17 @@ fn fiber_request(ch: *const Chan, req: Req) -> Resp {
     // SAFETY: `sched_rsp` holds the pump's context, suspended exactly
     // when it last switched into this fiber.
     unsafe { fiber::switch(&ch.fiber_rsp, ch.sched_rsp.get()) };
+    if ch.cancel.get() {
+        // Run teardown: unwind the program's frames (no panic hook).
+        std::panic::resume_unwind(Box::new(Cancelled));
+    }
     ch.resp.get()
 }
+
+/// The payload that unwinds a cancelled program; see [`FiberPump`]'s
+/// `Drop`.
+#[cfg(target_arch = "x86_64")]
+struct Cancelled;
 
 /// The fiber scheduler: pump, engine, and every program stack, all on
 /// the calling OS thread.
@@ -504,29 +520,37 @@ struct FiberPump {
 #[cfg(target_arch = "x86_64")]
 impl FiberPump {
     /// Creates `core`'s fiber around `prog`. The wrapper contains
-    /// panics, records the final simulated time, and retires the fiber
-    /// by publishing `Finished` — it never returns.
+    /// panics, records the final simulated time, publishes `Finished`,
+    /// and returns, parking the fiber on the pump's context for good.
     fn spawn(&mut self, core: usize, tid: usize, t0: u64, prog: Program) {
         let ch_ptr: *const Chan = &*self.chans[core];
-        let entry: Box<dyn FnOnce()> = Box::new(move || {
-            let mut ctx = SimCtx {
-                core,
-                tid,
-                local_time: t0,
-                backend: Backend::Fibers(ch_ptr),
-            };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prog(&mut ctx)));
-            // SAFETY: single OS thread; the pump is suspended.
+        let entry: fiber::Entry = Box::new(move || {
+            // SAFETY: single OS thread; the pump owns the Chan, outlives
+            // the fiber, and is suspended whenever the fiber runs.
             let ch = unsafe { &*ch_ptr };
-            if let Err(payload) = result {
-                *ch.panic.borrow_mut() = Some(payload);
+            // A fiber cancelled before its first entry drops `prog` unrun.
+            if !ch.cancel.get() {
+                let mut ctx = SimCtx {
+                    core,
+                    tid,
+                    local_time: t0,
+                    backend: Backend::Fibers(ch_ptr),
+                };
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prog(&mut ctx)));
+                if let Err(payload) = result {
+                    if !payload.is::<Cancelled>() {
+                        *ch.panic.borrow_mut() = Some(payload);
+                    }
+                }
+                ch.end_time.set(ctx.local_time);
             }
-            ch.end_time.set(ctx.local_time);
             ch.req.set(Some(Req::Finished));
-            loop {
-                // SAFETY: the pump context is valid; it never resumes a
-                // retired fiber, so this parks the stack permanently.
-                unsafe { fiber::switch(&ch.fiber_rsp, ch.sched_rsp.get()) };
+            ch.retired.set(true);
+            // The pump never resumes a retired fiber.
+            fiber::Park {
+                save: &ch.fiber_rsp,
+                resume: &ch.sched_rsp,
             }
         });
         let (mut fb, entry_ctx) = fiber::Fiber::new(self.sim.cfg.fiber_stack, entry);
@@ -548,9 +572,7 @@ impl FiberPump {
         let fb = self.fibers[core].as_ref().expect("fiber not spawned");
         assert!(fb.canary_ok(), "fiber stack overflow on core {core}");
         if let Some(payload) = self.chans[core].panic.borrow_mut().take() {
-            // Suspended sibling fibers are dropped without unwinding;
-            // their stacks leak whatever they own, which is fine for a
-            // run that is being torn down.
+            // Suspended sibling fibers are unwound by `Drop`.
             std::panic::resume_unwind(payload);
         }
         self.chans[core]
@@ -628,6 +650,25 @@ impl FiberPump {
                 self.sim.stuck_report()
             );
             self.pending.extend(self.sim.resumes.drain(..));
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Drop for FiberPump {
+    /// A run torn down by a panic leaves fibers suspended mid-program, and
+    /// a dropped suspended stack would leak whatever its frames own.
+    /// Resume each one cancelled instead: its program unwinds, its entry
+    /// closure returns, and it parks. A normal run has nothing to do here.
+    fn drop(&mut self) {
+        for (core, fb) in self.fibers.iter().enumerate() {
+            let ch = &self.chans[core];
+            // An overflowed stack is corrupt; never re-enter it.
+            if fb.as_ref().is_some_and(|f| f.canary_ok()) && !ch.retired.get() {
+                ch.cancel.set(true);
+                // SAFETY: as in `xchg`; the fiber is suspended or unentered.
+                unsafe { fiber::switch(&ch.sched_rsp, ch.fiber_rsp.get()) };
+            }
         }
     }
 }

@@ -4,10 +4,10 @@
 //! the queues (workloads, fuzzing, linearizability suites) is written
 //! against this trait once instead of per backend.
 
-use absmem::native::{NativeCtx, NativeHeap};
+use absmem::native::{run_group, GroupBarrier, NativeCtx, NativeHeap};
 use absmem::ThreadCtx;
 use coherence::{Machine, MachineConfig, RunReport, SimCtx};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 /// One thread's program on backend context `C`. For the simulator this is
 /// exactly [`coherence::Program`].
@@ -93,8 +93,9 @@ impl Backend for SimBackend {
 /// The native backend: real OS threads over real `AtomicU64`s. Each run
 /// gets a fresh [`NativeHeap`]; the setup job runs alone on thread id 0
 /// (with a unit barrier, so phased generic code works unchanged), then
-/// every program runs on its own scoped OS thread sharing one barrier
-/// group.
+/// every program runs on its own scoped OS thread sharing one breakable
+/// barrier: a program that panics breaks it, so its siblings panic out of
+/// the barrier instead of hanging, and `run` re-raises the first panic.
 pub struct NativeBackend {
     heap_words: usize,
 }
@@ -107,7 +108,8 @@ impl NativeBackend {
 }
 
 impl Default for NativeBackend {
-    /// 2^23 words (64 MiB): ample for every suite workload.
+    /// 2^23 words: reserves 64 MiB; resident only as touched. Ample for
+    /// every suite workload.
     fn default() -> Self {
         NativeBackend::new(1 << 23)
     }
@@ -123,16 +125,10 @@ impl Backend for NativeBackend {
     fn run(&mut self, setup: Job<NativeCtx>, programs: Vec<Job<NativeCtx>>) -> BackendReport {
         let heap = Arc::new(NativeHeap::new(self.heap_words));
         {
-            let mut ctx = heap.ctx(0).with_barrier(Arc::new(Barrier::new(1)));
+            let mut ctx = heap.ctx(0).with_barrier(Arc::new(GroupBarrier::new(1)));
             setup(&mut ctx);
         }
-        let barrier = Arc::new(Barrier::new(programs.len().max(1)));
-        std::thread::scope(|s| {
-            for (tid, prog) in programs.into_iter().enumerate() {
-                let mut ctx = heap.ctx(tid).with_barrier(Arc::clone(&barrier));
-                s.spawn(move || prog(&mut ctx));
-            }
-        });
+        run_group(&heap, programs);
         BackendReport {
             end_time: heap.ctx(0).now(),
             sim: None,
@@ -215,5 +211,47 @@ mod tests {
         // Both threads saw the shared counter reach at least their own
         // contribution; the final value is exactly 200 but each read races.
         assert!(sum.load(SeqCst) >= 200);
+    }
+
+    /// A program that exhausts the heap before the barrier must not leave
+    /// its sibling parked there: `run` re-raises the exhaustion panic
+    /// promptly instead of hanging.
+    #[test]
+    fn native_panic_breaks_the_barrier() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (tx, rx) = mpsc::channel();
+        // Detached until it reports: a hung run must fail the test, not
+        // block it in `join`.
+        let runner = std::thread::spawn(move || {
+            let programs: Vec<Job<NativeCtx>> = (0..2)
+                .map(|tid| {
+                    Box::new(move |ctx: &mut NativeCtx| {
+                        if tid == 0 {
+                            ctx.alloc(1 << 11);
+                        }
+                        ctx.barrier();
+                    }) as Job<NativeCtx>
+                })
+                .collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                NativeBackend::new(1 << 10).run(Box::new(|_| {}), programs)
+            }));
+            let msg = outcome.err().map(|p| {
+                p.downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            tx.send(msg).unwrap();
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a sibling is still parked in the barrier")
+            .expect("the run must re-raise the program's panic");
+        runner
+            .join()
+            .expect("the runner thread catches the run's panic");
+        assert!(msg.contains("native heap exhausted"), "re-raised {msg:?}");
     }
 }

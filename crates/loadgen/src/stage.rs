@@ -87,6 +87,10 @@ pub struct LoadRun {
     /// the end time: two runs with equal digests completed every request
     /// at identical (simulated) times.
     pub completion_digest: u64,
+    /// Latency intervals that came out negative (an end read before its
+    /// start) and were left out of the histograms. Always 0 on a sane
+    /// clock; nonzero means a timing bug, not a fast request.
+    pub clock_anomalies: u64,
 }
 
 /// Per-thread measurement output, merged after the run.
@@ -95,6 +99,7 @@ struct RoleOut {
     enq_op: Histogram,
     service: Histogram,
     src_lag: Histogram,
+    clock_anomalies: u64,
 }
 
 impl RoleOut {
@@ -104,6 +109,16 @@ impl RoleOut {
             enq_op: Histogram::new(),
             service: Histogram::new(),
             src_lag: Histogram::new(),
+            clock_anomalies: 0,
+        }
+    }
+
+    /// Records `end - start` into `h`, or counts an anomaly when the
+    /// interval is negative.
+    fn record_interval(h: &mut Histogram, anomalies: &mut u64, start: u64, end: u64) {
+        match end.checked_sub(start) {
+            Some(d) => h.record(d),
+            None => *anomalies += 1,
         }
     }
 }
@@ -115,6 +130,11 @@ impl RoleOut {
 struct Shared {
     base_in: AtomicU64,
     base_out: AtomicU64,
+    /// The run's time origin: the clock reading of the first thread past
+    /// the start barrier. Every arrival is due at `epoch + offset`, for
+    /// sources and egress alike (on native, threads leave the barrier at
+    /// different times; on the simulator all at the same cycle).
+    epoch: AtomicU64,
     arrivals: Vec<u64>,
     sources_done: AtomicU64,
     ing_enq: AtomicU64,
@@ -133,6 +153,7 @@ impl Shared {
         Shared {
             base_in: AtomicU64::new(0),
             base_out: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
             arrivals: plan.arrival_offsets(),
             sources_done: AtomicU64::new(0),
             ing_enq: AtomicU64::new(0),
@@ -152,6 +173,15 @@ impl Shared {
         let e = enq.fetch_add(1, SeqCst) + 1;
         let d = deq.load(SeqCst);
         depth_max.fetch_max(e.saturating_sub(d), SeqCst);
+    }
+
+    /// The run's epoch, published by the first caller (call once per
+    /// thread, right after the start barrier).
+    fn start_epoch(&self, now: u64) -> u64 {
+        match self.epoch.compare_exchange(0, now, SeqCst, SeqCst) {
+            Ok(_) => now,
+            Err(first) => first,
+        }
     }
 }
 
@@ -220,17 +250,19 @@ where
             let mut tobs = sink.as_ref().map(|sk| sk.thread(ctx.thread_id()));
             let mut out = RoleOut::new();
             ctx.barrier();
-            let start = ctx.now();
+            let start = sh.start_epoch(ctx.now());
             let mut k = s;
             while (k as u64) < n {
                 let id = k as u64 + 1;
                 let due = start + sh.arrivals[k];
-                let now = ctx.now();
-                if now < due {
-                    ctx.delay(due - now);
+                // A native busy-wait may end a few cycles short; wait out
+                // the rest (a simulated delay is exact, so this runs once).
+                let mut t0 = ctx.now();
+                while t0 < due {
+                    ctx.delay(due - t0);
+                    t0 = ctx.now();
                 }
-                let t0 = ctx.now();
-                out.src_lag.record(t0.saturating_sub(due));
+                RoleOut::record_interval(&mut out.src_lag, &mut out.clock_anomalies, due, t0);
                 q.enqueue(ctx, id);
                 let t1 = ctx.now();
                 out.enq_op.record(t1 - t0);
@@ -302,7 +334,7 @@ where
             let mut tobs = sink.as_ref().map(|sk| sk.thread(ctx.thread_id()));
             let mut out = RoleOut::new();
             ctx.barrier();
-            let start = ctx.now();
+            let start = sh.start_epoch(ctx.now());
             loop {
                 let t0 = ctx.now();
                 match q.dequeue(ctx) {
@@ -310,7 +342,7 @@ where
                         sh.eg_deq.fetch_add(1, SeqCst);
                         let t1 = ctx.now();
                         let due = start + sh.arrivals[(id - 1) as usize];
-                        out.e2e.record(t1.saturating_sub(due));
+                        RoleOut::record_interval(&mut out.e2e, &mut out.clock_anomalies, due, t1);
                         sh.final_t[id as usize].store(t1, SeqCst);
                         if let Some(o) = &mut tobs {
                             o.span(SpanKind::Dequeue, t0, t1, id);
@@ -346,11 +378,13 @@ where
     let mut enq_op = Histogram::new();
     let mut service = Histogram::new();
     let mut src_lag = Histogram::new();
+    let mut clock_anomalies = 0;
     for o in outs.iter() {
         e2e.merge(&o.e2e);
         enq_op.merge(&o.enq_op);
         service.merge(&o.service);
         src_lag.merge(&o.src_lag);
+        clock_anomalies += o.clock_anomalies;
     }
     drop(outs);
 
@@ -394,6 +428,7 @@ where
         src_lag,
         end_time,
         completion_digest: digest,
+        clock_anomalies,
     }
 }
 

@@ -148,3 +148,25 @@ fn native_backend_runs_the_same_plan() {
     assert!(run.point.e2e_p50_ns <= run.point.e2e_p99_ns);
     assert!(run.point.end_cycles > 0);
 }
+
+/// Native threads leave the start barrier at different times, and with
+/// more threads than host CPUs some leave it much later. Every role must
+/// still measure from the one shared epoch: no interval may come out
+/// negative, and end-to-end latency is positive.
+#[test]
+fn native_plan_wider_than_the_host_measures_from_one_epoch() {
+    let cpus = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let plan = LoadPlan {
+        requests: 64,
+        rate_rps: 400_000,
+        sources: 2,
+        workers: cpus,
+        egress: 2,
+        ..Default::default()
+    };
+    assert!(plan.threads() > cpus);
+    let run = run_load(QueueKind::SbqCas, &plan, BackendKind::Native, None);
+    assert_eq!(run.point.completed, plan.requests);
+    assert_eq!(run.clock_anomalies, 0, "negative intervals were measured");
+    assert!(run.point.e2e_p50_ns > 0.0);
+}
