@@ -48,13 +48,9 @@ pub struct WallPoint {
     pub p50_ns: u64,
     pub p99_ns: u64,
     pub max_ns: u64,
-    /// Operations the simulator's uncontended fast path admitted
-    /// (identical across reps — the workload is deterministic).
-    pub fastpath_hits: u64,
-    /// Submissions that fell back to the full protocol path.
-    pub fastpath_fallbacks: u64,
     /// Scheduler events dispatched — the engine-work denominator behind
-    /// `ops_per_sec`.
+    /// `ops_per_sec` (identical across reps — the workload is
+    /// deterministic).
     pub sim_events: u64,
 }
 
@@ -71,8 +67,6 @@ impl WallPoint {
             p50_ns: wall_ns,
             p99_ns: wall_ns,
             max_ns: wall_ns,
-            fastpath_hits: 0,
-            fastpath_fallbacks: 0,
             sim_events: 0,
         }
     }
@@ -88,35 +82,11 @@ impl WallPoint {
     }
 }
 
-/// Simulator counters worth surfacing per bench point.
-#[derive(Debug, Clone, Copy, Default)]
-struct SimCounters {
-    fastpath_hits: u64,
-    fastpath_fallbacks: u64,
-    sim_events: u64,
-}
-
-impl SimCounters {
-    fn from_stats(stats: &coherence::Stats) -> Self {
-        SimCounters {
-            fastpath_hits: stats.fastpath_hits,
-            fastpath_fallbacks: stats.fastpath_fallbacks,
-            sim_events: stats.events,
-        }
-    }
-
-    fn apply(self, mut p: WallPoint) -> WallPoint {
-        p.fastpath_hits = self.fastpath_hits;
-        p.fastpath_fallbacks = self.fastpath_fallbacks;
-        p.sim_events = self.sim_events;
-        p
-    }
-}
-
 /// Figure-1-shaped scheduler stress: `threads` cores FAA one shared word
 /// `ops` times each. Jitter and invariant checks are off so the run is
-/// deterministic and the handshake dominates.
-fn faa_hammer(threads: usize, ops: u64) -> SimCounters {
+/// deterministic and the handshake dominates. Returns the run's
+/// scheduler event count.
+fn faa_hammer(threads: usize, ops: u64) -> u64 {
     let mut cfg = MachineConfig::single_socket(threads);
     cfg.check_invariants = false;
     cfg.delay_jitter_pct = 0;
@@ -142,7 +112,7 @@ fn faa_hammer(threads: usize, ops: u64) -> SimCounters {
         }),
         programs,
     );
-    SimCounters::from_stats(&report.stats)
+    report.stats.events
 }
 
 /// Times `reps` runs of `f` and returns the wall-time histogram (ns) —
@@ -173,34 +143,24 @@ pub fn run_points_jobs(scale: u64, reps: u32, jobs: usize) -> (Vec<WallPoint>, r
     let tasks: Vec<Box<dyn FnOnce() -> WallPoint + Send>> = vec![
         Box::new(move || {
             let (threads, ops) = (8usize, 2_500 * scale);
-            let mut ctr = SimCounters::default();
-            let h = sample_reps(reps, || ctr = faa_hammer(threads, ops));
-            ctr.apply(WallPoint::from_hist(
-                "fig1_faa",
-                threads,
-                threads as u64 * ops,
-                &h,
-            ))
+            let mut events = 0;
+            let h = sample_reps(reps, || events = faa_hammer(threads, ops));
+            let mut p = WallPoint::from_hist("fig1_faa", threads, threads as u64 * ops, &h);
+            p.sim_events = events;
+            p
         }),
         Box::new(move || {
             let (threads, ops) = (8usize, 400 * scale);
             let mut w = paper_workload(WorkloadKind::ProducerOnly, threads, ops);
             w.machine.delay_jitter_pct = 0;
-            let mut ctr = SimCounters::default();
+            let mut events = 0;
             let h = sample_reps(reps, || {
-                let m = run_workload(QueueKind::SbqHtm, &w);
-                ctr = SimCounters {
-                    fastpath_hits: m.fastpath_hits,
-                    fastpath_fallbacks: m.fastpath_fallbacks,
-                    sim_events: m.sim_events,
-                };
+                events = run_workload(QueueKind::SbqHtm, &w).sim_events;
             });
-            ctr.apply(WallPoint::from_hist(
-                "fig5_sbq_producer",
-                threads,
-                threads as u64 * ops,
-                &h,
-            ))
+            let mut p =
+                WallPoint::from_hist("fig5_sbq_producer", threads, threads as u64 * ops, &h);
+            p.sim_events = events;
+            p
         }),
         Box::new(move || {
             // Paper-scale NUMA point: 88 cores on two sockets, producers
@@ -210,21 +170,14 @@ pub fn run_points_jobs(scale: u64, reps: u32, jobs: usize) -> (Vec<WallPoint>, r
             let (threads, ops) = (88usize, 24 * scale);
             let mut w = numa_workload(NumaShape::CrossSplit, 2, threads, ops);
             w.machine.delay_jitter_pct = 0;
-            let mut ctr = SimCounters::default();
+            let mut events = 0;
             let h = sample_reps(reps, || {
-                let m = run_workload(QueueKind::SbqHtm, &w);
-                ctr = SimCounters {
-                    fastpath_hits: m.fastpath_hits,
-                    fastpath_fallbacks: m.fastpath_fallbacks,
-                    sim_events: m.sim_events,
-                };
+                events = run_workload(QueueKind::SbqHtm, &w).sim_events;
             });
-            ctr.apply(WallPoint::from_hist(
-                "fig_numa_88_cross",
-                threads,
-                threads as u64 * ops,
-                &h,
-            ))
+            let mut p =
+                WallPoint::from_hist("fig_numa_88_cross", threads, threads as u64 * ops, &h);
+            p.sim_events = events;
+            p
         }),
     ];
     runner::run_all(jobs, tasks)
@@ -272,12 +225,11 @@ pub fn native_points_jobs(
 /// TSV rendering — also the `baseline=` interchange format.
 pub fn to_tsv(points: &[WallPoint]) -> String {
     let mut s = String::from(
-        "name\tthreads\ttotal_ops\twall_ns\tops_per_sec\tp50_ns\tp99_ns\tmax_ns\
-         \tfastpath_hits\tfastpath_fallbacks\tsim_events\n",
+        "name\tthreads\ttotal_ops\twall_ns\tops_per_sec\tp50_ns\tp99_ns\tmax_ns\tsim_events\n",
     );
     for p in points {
         s.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{:.0}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+            "{}\t{}\t{}\t{}\t{:.0}\t{}\t{}\t{}\t{}\n",
             p.name,
             p.threads,
             p.total_ops,
@@ -286,20 +238,29 @@ pub fn to_tsv(points: &[WallPoint]) -> String {
             p.p50_ns,
             p.p99_ns,
             p.max_ns,
-            p.fastpath_hits,
-            p.fastpath_fallbacks,
             p.sim_events
         ));
     }
     s
 }
 
-/// Parses a `to_tsv` capture back into points (header line skipped).
-/// Captures predating the percentile columns still parse: their
-/// distribution collapses onto `wall_ns`.
+/// Parses a `to_tsv` capture back into points. The first four columns
+/// are fixed; the rest are found by header name, so older captures still
+/// parse — those predating the percentile columns collapse their
+/// distribution onto `wall_ns`, and columns this build no longer writes
+/// are ignored.
 pub fn from_tsv(s: &str) -> Option<Vec<WallPoint>> {
+    let mut lines = s.lines();
+    let header: Vec<&str> = lines.next()?.split('\t').collect();
+    let col = |name: &str| header.iter().position(|&h| h == name);
+    let (p50, p99, max, events) = (
+        col("p50_ns"),
+        col("p99_ns"),
+        col("max_ns"),
+        col("sim_events"),
+    );
     let mut out = Vec::new();
-    for line in s.lines().skip(1) {
+    for line in lines {
         if line.trim().is_empty() {
             continue;
         }
@@ -313,16 +274,14 @@ pub fn from_tsv(s: &str) -> Option<Vec<WallPoint>> {
             f[2].parse().ok()?,
             f[3].parse().ok()?,
         );
-        if f.len() >= 8 {
-            p.p50_ns = f[5].parse().ok()?;
-            p.p99_ns = f[6].parse().ok()?;
-            p.max_ns = f[7].parse().ok()?;
-        }
-        if f.len() >= 11 {
-            p.fastpath_hits = f[8].parse().ok()?;
-            p.fastpath_fallbacks = f[9].parse().ok()?;
-            p.sim_events = f[10].parse().ok()?;
-        }
+        let field = |c: Option<usize>, default: u64| match c {
+            Some(i) => f.get(i)?.parse().ok(),
+            None => Some(default),
+        };
+        p.p50_ns = field(p50, p.p50_ns)?;
+        p.p99_ns = field(p99, p.p99_ns)?;
+        p.max_ns = field(max, p.max_ns)?;
+        p.sim_events = field(events, 0)?;
         out.push(p);
     }
     Some(out)
@@ -335,8 +294,7 @@ fn json_points(points: &[WallPoint], indent: &str) -> String {
             format!(
                 "{indent}{{\"name\": \"{}\", \"threads\": {}, \"total_ops\": {}, \
                  \"wall_ns\": {}, \"sim_ops_per_sec\": {:.0}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \
-                 \"fastpath_hits\": {}, \"fastpath_fallbacks\": {}, \"sim_events\": {}}}",
+                 \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"sim_events\": {}}}",
                 p.name,
                 p.threads,
                 p.total_ops,
@@ -345,8 +303,6 @@ fn json_points(points: &[WallPoint], indent: &str) -> String {
                 p.p50_ns,
                 p.p99_ns,
                 p.max_ns,
-                p.fastpath_hits,
-                p.fastpath_fallbacks,
                 p.sim_events
             )
         })
@@ -397,4 +353,70 @@ pub fn to_json(
     }
     s.push_str("\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(name: &str, sim_events: u64) -> WallPoint {
+        let mut p = WallPoint::new(name, 8, 20_000, 5_000_000);
+        (p.p50_ns, p.p99_ns, p.max_ns) = (5_100_000, 5_900_000, 6_000_000);
+        p.sim_events = sim_events;
+        p
+    }
+
+    #[test]
+    fn tsv_round_trips_with_sim_events_in_the_ninth_column() {
+        let points = [
+            point("fig1_faa", 120_031),
+            point("fig5_sbq_producer", 288_987),
+        ];
+        let tsv = to_tsv(&points);
+        let header: Vec<&str> = tsv.lines().next().unwrap().split('\t').collect();
+        assert_eq!(header.len(), 9);
+        assert_eq!(header[8], "sim_events");
+        let row: Vec<&str> = tsv.lines().nth(1).unwrap().split('\t').collect();
+        assert_eq!(row[8], "120031");
+
+        let back = from_tsv(&tsv).expect("own capture parses");
+        assert_eq!(back.len(), points.len());
+        for (a, b) in points.iter().zip(&back) {
+            assert_eq!(
+                (&a.name, a.threads, a.total_ops, a.wall_ns),
+                (&b.name, b.threads, b.total_ops, b.wall_ns)
+            );
+            assert_eq!(
+                (a.p50_ns, a.p99_ns, a.max_ns),
+                (b.p50_ns, b.p99_ns, b.max_ns)
+            );
+            assert_eq!(a.sim_events, b.sim_events);
+        }
+    }
+
+    #[test]
+    fn committed_five_column_baseline_still_parses() {
+        let points = from_tsv(include_str!("../../../BENCH_baseline.tsv")).expect("parses");
+        let names: Vec<&str> = points.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["fig1_faa", "fig5_sbq_producer"]);
+        for p in &points {
+            assert_eq!(
+                (p.p50_ns, p.p99_ns, p.max_ns),
+                (p.wall_ns, p.wall_ns, p.wall_ns)
+            );
+            assert_eq!(p.sim_events, 0);
+        }
+    }
+
+    #[test]
+    fn retired_columns_in_an_older_capture_are_skipped_by_name() {
+        let tsv = "name\tthreads\ttotal_ops\twall_ns\tops_per_sec\tp50_ns\tp99_ns\tmax_ns\
+                   \tretired_a\tretired_b\tsim_events\n\
+                   fig1_faa\t8\t20000\t5908653\t3384866\t6029312\t7864320\t7980009\t0\t20001\t120031\n";
+        let p = &from_tsv(tsv).expect("parses")[0];
+        assert_eq!(
+            (p.p50_ns, p.max_ns, p.sim_events),
+            (6_029_312, 7_980_009, 120_031)
+        );
+    }
 }

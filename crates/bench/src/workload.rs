@@ -77,10 +77,6 @@ pub struct Measurement {
     pub p50_ns: f64,
     pub p99_ns: f64,
     pub max_ns: f64,
-    /// Uncontended-fast-path admissions and fallbacks
-    /// (`MachineConfig::fast_path`; zero on native).
-    pub fastpath_hits: u64,
-    pub fastpath_fallbacks: u64,
     /// Scheduler events the run processed (simulator only) — the
     /// wall-clock cost driver behind `duration_ns_per_op`.
     pub sim_events: u64,
@@ -262,11 +258,6 @@ where
         p50_ns: coherence::cycles_to_ns(hist.p50()),
         p99_ns: coherence::cycles_to_ns(hist.p99()),
         max_ns: coherence::cycles_to_ns(hist.max()),
-        fastpath_hits: report.sim.as_ref().map_or(0, |r| r.stats.fastpath_hits),
-        fastpath_fallbacks: report
-            .sim
-            .as_ref()
-            .map_or(0, |r| r.stats.fastpath_fallbacks),
         sim_events: report.sim.as_ref().map_or(0, |r| r.stats.events),
         hops_intra: report.sim.as_ref().map_or(0, |r| r.stats.hops_intra),
         hops_cross: report.sim.as_ref().map_or(0, |r| r.stats.hops_cross),
@@ -377,13 +368,9 @@ pub fn trace_workload(kind: QueueKind, w: &Workload, backend: BackendKind) -> Tr
             })
         }
     };
-    let (sim_trace, fastpath, hops) = match report.sim {
-        Some(r) => (
-            r.trace,
-            Some((r.stats.fastpath_hits, r.stats.fastpath_fallbacks)),
-            Some((r.stats.hops_intra, r.stats.hops_cross)),
-        ),
-        None => (Vec::new(), None, None),
+    let (sim_trace, hops) = match report.sim {
+        Some(r) => (r.trace, Some((r.stats.hops_intra, r.stats.hops_cross))),
+        None => (Vec::new(), None),
     };
     let logs = sink.take_logs();
     let meta = TraceMeta {
@@ -392,7 +379,6 @@ pub fn trace_workload(kind: QueueKind, w: &Workload, backend: BackendKind) -> Tr
             "{} {:?} {}p+{}c",
             measurement.queue, w.kind, w.producers, w.consumers
         ),
-        fastpath,
         hops,
     };
     TracedRun {

@@ -179,17 +179,6 @@ pub struct MachineConfig {
     /// perturbation (and nothing else — the simulator is otherwise
     /// deterministic).
     pub seed: u64,
-    /// Decide uncontended local-hit operations at submission — no
-    /// directory messages, no inbox, no per-op dispatch; a single
-    /// stand-in event finishes the op — whenever doing so is provably
-    /// bit-exact with the full protocol (see `Sim::try_fast_path` and
-    /// DESIGN.md §12 for the admission conditions). The slow path remains
-    /// the semantic reference: runs with this flag off are byte-identical
-    /// to runs with it on, just slower. Default on; setting the
-    /// `SBQ_FAST_PATH=0` environment variable flips the default off,
-    /// which is how the CI golden job replays the determinism suite on
-    /// the pure protocol path.
-    pub fast_path: bool,
     /// Run simulated cores on dedicated OS threads (the slot-handshake
     /// token-passing scheduler) instead of the default in-process fiber
     /// scheduler. On targets without fiber support (non-x86_64) the
@@ -218,8 +207,8 @@ pub struct MachineConfig {
     /// Record a full message/transaction trace (costly; for the Figure 2/3
     /// reproductions and debugging).
     pub trace: bool,
-    /// Verify protocol invariants (single-writer/multi-reader, dir/cache
-    /// agreement) after every event. On by default in debug builds.
+    /// Check one protocol invariant — at most one M/E holder per line —
+    /// on every 64th event. On by default in debug builds.
     pub check_invariants: bool,
     /// Non-core actors to place on the component spine (interrupt
     /// sources, tick gates, heartbeats — see [`ComponentSpec`]). Empty by
@@ -253,7 +242,6 @@ impl Default for MachineConfig {
             tx_capacity_lines: 0,
             sched_perturb: 0,
             seed: 0x5b90,
-            fast_path: std::env::var_os("SBQ_FAST_PATH").is_none_or(|v| v != "0"),
             os_thread_scheduler: false,
             fiber_stack: 64 * 1024,
             measure_stacks: false,

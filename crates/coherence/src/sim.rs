@@ -30,24 +30,16 @@
 //! aborting the transaction; the true tripped-writer abort is the Fwd-GetS
 //! that arrives while the GetM is still pending.
 //!
-//! ### State layout and the uncontended fast path
+//! ### State layout
 //!
 //! Line addresses are interned into a dense [`LineId`] arena; everything
 //! keyed per line — cache state/value/transaction flags, the directory —
 //! is an arena-indexed array rather than a hash map, so the per-operation
 //! hit check is a couple of indexed loads and a 176-core machine's state
-//! stays cache-resident. On top of that layout, `submit_op` decides
-//! uncontended local hits at submission: the state mutation happens
-//! immediately (or is delegated for RMWs) and a single stand-in event —
-//! no directory messages, no inbox traversal, no per-op dispatch —
-//! retires the op at exactly the time and event-sequence position the
-//! full protocol would have used. The admission conditions (see
-//! [`Sim::try_fast_path`]) are chosen so this is provably bit-exact with
-//! the full protocol, which remains available as the semantic reference
-//! via `MachineConfig::fast_path = false`.
+//! stays cache-resident.
 
 use crate::component::{self, Component};
-use crate::config::{ComponentSpec, HomePolicy, MachineConfig};
+use crate::config::{HomePolicy, MachineConfig};
 use crate::fxhash::FxHashMap;
 use crate::msg::{Msg, Node};
 use crate::stats::{Stats, TraceEvent};
@@ -102,19 +94,6 @@ impl LineArena {
             id
         };
         self.last = (addr, id);
-        id
-    }
-
-    /// Id of `addr` if it has ever been touched.
-    #[inline]
-    fn get(&mut self, addr: u64) -> Option<LineId> {
-        if self.last.0 == addr {
-            return Some(self.last.1);
-        }
-        let id = self.ids.get(&addr).copied();
-        if let Some(id) = id {
-            self.last = (addr, id);
-        }
         id
     }
 
@@ -525,21 +504,6 @@ enum Event {
     RmwDone { core: usize, gen: u64 },
     /// A `delay()` elapses on `core` (cancellable by abort).
     DelayDone { core: usize, gen: u64 },
-    /// Fast-path hit (read, or transactional write on an owned line):
-    /// the result was computed and applied at submission; this event
-    /// stands in for the `IssueOp` and resumes the thread with the
-    /// configured hit latency. See [`Sim::try_fast_path`].
-    FastHit { core: usize, result: u64 },
-    /// Fast-path RMW/store on an owned line: stands in for the `IssueOp`
-    /// and enters `start_rmw` directly — the line is already interned
-    /// and known writable, so the inbox, `begin_op` checks, and the
-    /// store dispatch are skipped. From here on the op runs the ordinary
-    /// RMW window (`RmwDone`, stall handling) unchanged.
-    FastRmw {
-        core: usize,
-        line: LineId,
-        waiter: Waiter,
-    },
     /// Component `comp`'s scheduled tick is due (see
     /// [`crate::component`]). Never pushed when no components are
     /// configured, so the component-free event stream is unchanged.
@@ -980,13 +944,6 @@ pub struct Sim {
     first_touch: FxHashMap<u64, usize>,
     /// Earliest time each cache can serve its next incoming request.
     cache_free_at: Vec<u64>,
-    /// Number of `Deliver`-to-core events currently in the wheel, per
-    /// core. A core with zero in-flight messages and an issue time `t <
-    /// clock + hop_min` provably receives nothing before `t` — the
-    /// fast-path non-interference gate.
-    inflight_to: Vec<u32>,
-    /// Minimum one-way hop latency, precomputed for the fast-path gate.
-    hop_min: u64,
     /// Reusable buffer for released stalled messages.
     stall_scratch: Vec<(u64, LineId, Msg)>,
     /// Reusable buffer for directory-queued request replay.
@@ -996,12 +953,6 @@ pub struct Sim {
     /// per `MachineConfig::components` spec. Ticks arrive as
     /// `Event::CompTick` in ordinary `(time, seq)` order.
     comps: Vec<Box<dyn Component>>,
-    /// True when any configured component can abort a transaction
-    /// asynchronously (an interrupt source). Gates the fast path for
-    /// transactional ops: with an async abort possible between
-    /// submission and issue, they must take the slow path so the abort
-    /// is observed at issue (and fast-path on/off stays bit-exact).
-    has_async_abort: bool,
 }
 
 impl Sim {
@@ -1022,10 +973,6 @@ impl Sim {
         for spec in &cfg.components {
             comps.push(component::build(spec, cfg.cores));
         }
-        let has_async_abort = cfg
-            .components
-            .iter()
-            .any(|s| matches!(s, ComponentSpec::Interrupt { .. }));
         let nsockets = cfg.sockets().max(cfg.home_socket + 1);
         let mut sim = Sim {
             rng: SimRng::seed_from_u64(cfg.seed),
@@ -1044,12 +991,9 @@ impl Sim {
             nsockets,
             first_touch: FxHashMap::default(),
             cache_free_at: vec![0; ncaches],
-            inflight_to: vec![0; ncaches],
-            hop_min: cfg.hop_intra.min(cfg.hop_cross),
             stall_scratch: Vec::new(),
             wb_scratch: VecDeque::new(),
             comps,
-            has_async_abort,
             cfg,
         };
         // Schedule every component's first tick. With no configured
@@ -1070,12 +1014,6 @@ impl Sim {
 
     fn push(&mut self, time: u64, ev: Event) {
         debug_assert!(time >= self.clock, "event scheduled in the past");
-        if let Event::Deliver {
-            to: Node::Core(c), ..
-        } = ev
-        {
-            self.inflight_to[c] += 1;
-        }
         self.seq += 1;
         self.events.push(self.clock, time, self.seq, ev);
     }
@@ -1158,9 +1096,8 @@ impl Sim {
     }
 
     /// Hands the engine a thread's next operation, issued at the thread's
-    /// local time `at`. When the fast path admits the operation (see
-    /// [`Sim::try_fast_path`]) its outcome is decided here, at
-    /// submission, and a stand-in event delivers it at the issue time.
+    /// local time `at`. The op waits in the core's inbox until its
+    /// `IssueOp` event fires.
     pub fn submit_op(&mut self, core: usize, at: u64, op: OpKind) {
         assert!(
             self.op_inbox[core].is_none(),
@@ -1171,205 +1108,21 @@ impl Sim {
         // A thread's local time may lag the event clock (the clock keeps
         // advancing while the thread runs user code), so `at < now()` is
         // legitimate — but the *issue* must never land in the simulator's
-        // past. The clamp above guarantees it; assert the guarantee so a
-        // future fast-path change cannot silently schedule backwards.
+        // past, where the event queue would pop it out of time order. The
+        // clamp above guarantees it; the assert pins the guarantee.
         debug_assert!(t >= self.clock, "operation issued into the past");
         // Scheduler-choice perturbation: stretch the issue latency so a
         // different ready core wins the next engine slot. Only IssueOp
         // times are perturbed — in-flight protocol messages keep their
         // modelled latencies, so the protocol stays well-formed and both
-        // schedulers consume the RNG in the same (submit) order. Drawn
-        // before the fast-path attempt so the RNG stream is one draw per
-        // submission regardless of which path the op takes.
+        // schedulers consume the RNG in the same (submit) order, one draw
+        // per submission.
         if self.cfg.sched_perturb > 0 {
             t += self.rng.gen_range_inclusive(0, self.cfg.sched_perturb);
-        }
-        if self.cfg.fast_path {
-            if self.try_fast_path(core, at, t, op) {
-                return;
-            }
-            self.stats.fastpath_fallbacks += 1;
         }
         self.caches[core].op_state = OpState::Inbox;
         self.op_inbox[core] = Some(op);
         self.push(t, Event::IssueOp { core });
-    }
-
-    /// Attempts to retire `op` through the fast path: a local hit whose
-    /// outcome is decided *at submission*, skipping the inbox, the
-    /// `begin_op` checks, the line re-intern, and the store dispatch the
-    /// slow path runs per operation. Hits (reads; transactional writes on
-    /// owned lines) have their effects applied immediately and are
-    /// finished off by a single trivial [`Event::FastHit`]; owned
-    /// RMWs/stores go through [`Event::FastRmw`], which enters the
-    /// ordinary `start_rmw` window at the issue time. Returns false
-    /// (having changed nothing) if any admission condition fails; the
-    /// caller then takes the full path. `t` is the already-perturbed
-    /// issue time.
-    ///
-    /// The conditions are chosen so the fast path is *bit-exact* with the
-    /// slow path (DESIGN.md §12 gives the full argument):
-    ///
-    /// * the core is quiescent — no pending requests, no stalled
-    ///   messages, no RMW window, no deferred op, no pending abort;
-    /// * the op is a pure local hit (S/E/M read; E/M write or RMW outside
-    ///   a transaction; transactional read, or transactional write with
-    ///   ownership held) that sends no messages on the slow path;
-    /// * no coherence message can reach this core before the issue time
-    ///   `t`: none is in flight to it (`inflight_to == 0`), and any
-    ///   message *created* after this submission is processed at some
-    ///   event time `≥ clock` and so arrives `≥ clock + hop_min > t`.
-    ///   Before `t`, then, nothing can invalidate the decision taken at
-    ///   submission; at or after `t`, the slow path has applied the same
-    ///   mutations, so arrivals observe identical state either way.
-    ///
-    /// Event-order parity is structural, not conditional: the stand-in
-    /// event is pushed at the very point the slow path pushes `IssueOp`
-    /// (so it carries the same `(time, seq)` key), and `FastRmw` pushes
-    /// `RmwDone` from inside `start_rmw` at `t` exactly as the slow path
-    /// does — every interleaving with other events, stalls, and resumes
-    /// is preserved. A hit's effects land at submission instead of at
-    /// `t`; the difference is unobservable because nothing arrives in
-    /// between.
-    fn try_fast_path(&mut self, core: usize, at: u64, t: u64, op: OpKind) -> bool {
-        let Some(addr) = op_line(&op) else {
-            // Delays draw jitter from the RNG; transaction begin/end/abort
-            // commit, trace, and may draw the spurious-abort RNG. All take
-            // the slow path.
-            return false;
-        };
-        // Non-interference gate first — it is two loads and rejects most
-        // contended submissions before the per-core scans and the line
-        // lookup below: nothing in flight to this core, and the issue
-        // time close enough that nothing new can arrive before it.
-        if self.inflight_to[core] != 0 || t >= self.clock + self.hop_min {
-            return false;
-        }
-        {
-            let c = &self.caches[core];
-            if !c.pending.is_empty()
-                || !c.stalled.is_empty()
-                || c.rmw_busy
-                || c.pending_abort.is_some()
-                || c.deferred.is_some()
-            {
-                return false;
-            }
-        }
-        // A line never touched by anyone is Invalid everywhere: a miss.
-        let Some(line) = self.lines.get(addr) else {
-            return false;
-        };
-        let (state, in_txn) = {
-            let c = &self.caches[core];
-            (c.state(line), c.in_txn())
-        };
-        // An interrupt component can abort this transaction *between*
-        // submission and the issue time `t` — the one asynchronous event
-        // the non-interference gate cannot exclude, because it arrives by
-        // component tick rather than coherence message. Transactional ops
-        // then must take the slow path, where `begin_op` observes the
-        // pended abort at issue (and fast-path on/off stays bit-exact
-        // under interrupt components).
-        if in_txn && self.has_async_abort {
-            return false;
-        }
-        let cap = self.cfg.tx_capacity_lines;
-        // `None` = hit shape (effects applied now, one `FastHit` event);
-        // `Some(waiter)` = RMW shape (a `FastRmw` event enters the
-        // ordinary `start_rmw` window at `t`).
-        let rmw_waiter: Option<Waiter> = match op {
-            OpKind::Read(_) => {
-                if state == CState::Invalid {
-                    return false;
-                }
-                if in_txn && cap > 0 {
-                    let tx = self.caches[core].txn.as_ref().unwrap();
-                    let grow = usize::from(!tx.read_set.contains(line));
-                    if tx.read_set.len() + tx.write_set.len() + grow > cap {
-                        return false; // would capacity-abort: slow path
-                    }
-                }
-                None
-            }
-            OpKind::Write(..) if in_txn => {
-                if !state.writable() {
-                    return false;
-                }
-                if cap > 0 {
-                    let tx = self.caches[core].txn.as_ref().unwrap();
-                    let grow = usize::from(!tx.write_set.contains(line));
-                    if tx.read_set.len() + tx.write_set.len() + grow > cap {
-                        return false;
-                    }
-                }
-                None
-            }
-            OpKind::Write(_, v) => {
-                if !state.writable() {
-                    return false;
-                }
-                Some(Waiter::Write(v))
-            }
-            OpKind::Cas(_, old, new) => {
-                // RMW inside a transaction is unsupported (slow path
-                // panics); outside one it needs ownership.
-                if in_txn || !state.writable() {
-                    return false;
-                }
-                Some(Waiter::Cas { old, new })
-            }
-            OpKind::Faa(_, v) => {
-                if in_txn || !state.writable() {
-                    return false;
-                }
-                Some(Waiter::Faa(v))
-            }
-            OpKind::Swap(_, v) => {
-                if in_txn || !state.writable() {
-                    return false;
-                }
-                Some(Waiter::Swap(v))
-            }
-            _ => return false,
-        };
-        debug_assert!(t >= at && t >= self.clock, "fast-path issue in the past");
-
-        // Admitted. The slow path counts the op when it issues; counting
-        // at submission instead leaves the totals identical.
-        self.stats.count_op(op.name_id());
-        self.stats.fastpath_hits += 1;
-        self.caches[core].op_state = OpState::Inbox;
-        if let Some(waiter) = rmw_waiter {
-            self.push(t, Event::FastRmw { core, line, waiter });
-            return true;
-        }
-        // Hit shape: apply the op's effects now (nothing observes this
-        // core before `t`) and precompute the result.
-        let c = &mut self.caches[core];
-        let result = match op {
-            OpKind::Read(_) => {
-                if in_txn {
-                    c.set_flag(line, F_TR, true);
-                    c.txn.as_mut().unwrap().read_set.insert(line);
-                }
-                c.value(line)
-            }
-            OpKind::Write(_, v) => {
-                debug_assert!(in_txn);
-                c.txn.as_mut().unwrap().write_set.insert(line);
-                c.set_state(line, CState::Modified);
-                if !c.flag(line, F_TW) {
-                    c.cleans[line as usize] = c.values[line as usize];
-                    c.set_flag(line, F_TW, true);
-                }
-                c.values[line as usize] = v;
-                0
-            }
-            _ => unreachable!("ineligible op admitted to the fast path"),
-        };
-        self.push(t, Event::FastHit { core, result });
-        true
     }
 
     /// True if any event remains.
@@ -1409,10 +1162,7 @@ impl Sim {
         match ev {
             Event::Deliver { to, msg } => match to {
                 Node::Dir => self.dir_handle(msg),
-                Node::Core(c) => {
-                    self.inflight_to[c] -= 1;
-                    self.cache_handle(c, msg);
-                }
+                Node::Core(c) => self.cache_handle(c, msg),
             },
             Event::IssueOp { core } => {
                 let op = self.op_inbox[core].take().expect("no op in inbox");
@@ -1430,37 +1180,6 @@ impl Sim {
                     debug_assert_eq!(self.caches[core].op_state, OpState::Delaying);
                     self.resume_at(core, self.clock, OpOutcome::Val(0));
                 }
-            }
-            Event::FastHit { core, result } => {
-                debug_assert_eq!(self.caches[core].op_state, OpState::Inbox);
-                self.caches[core].op_state = OpState::Current;
-                // A component interrupt can abort the enclosing
-                // transaction while the stand-in event is pending (the
-                // admission gate keeps transactional ops off the fast
-                // path when that is possible, but deliver the abort
-                // rather than a stale value if it ever happens —
-                // mirroring `begin_op`).
-                if let Some(status) = self.caches[core].pending_abort.take() {
-                    self.resume_at(core, self.clock, OpOutcome::Aborted(status));
-                } else {
-                    let done = self.clock + self.cfg.hit_cycles;
-                    self.resume_at(core, done, OpOutcome::Val(result));
-                }
-            }
-            Event::FastRmw { core, line, waiter } => {
-                debug_assert_eq!(self.caches[core].op_state, OpState::Inbox);
-                // RMW shapes are only admitted outside transactions, and
-                // a core blocked on its own op cannot enter one — so no
-                // abort can be pending here.
-                debug_assert!(
-                    self.caches[core].pending_abort.is_none(),
-                    "abort pended against a non-transactional fast-path RMW"
-                );
-                self.caches[core].op_state = OpState::Current;
-                // M, or E silently upgraded by the store (MESI-E) —
-                // mirrors the owned branch of `op_store`.
-                self.caches[core].set_state(line, CState::Modified);
-                self.start_rmw(core, line, waiter);
             }
             Event::CompTick { comp } => self.comp_tick(comp as usize),
         }

@@ -59,19 +59,10 @@ pub struct Stats {
     pub stalls: u64,
     /// Fwd-GetS requests stalled by the §3.4.1 microarchitectural fix.
     pub fix_stalls: u64,
-    /// Operations admitted by the uncontended fast path
-    /// (`MachineConfig::fast_path`): local hits decided at submission,
-    /// skipping the inbox and per-op dispatch. Excluded from the
-    /// determinism fingerprint — the fast path changes *how* an op
-    /// retires, never *what* it does.
-    pub fastpath_hits: u64,
-    /// Operations submitted while the fast path was enabled that did not
-    /// meet its admission conditions and took the full protocol path.
-    pub fastpath_fallbacks: u64,
     /// Scheduler events processed (`Sim::step` calls that dispatched an
     /// event). A wall-clock cost measure — how much engine work a run
     /// took — not a protocol observable; excluded from the determinism
-    /// fingerprint for the same reason as the fast-path counters.
+    /// fingerprint.
     pub events: u64,
     /// Messages whose endpoints sat on the same socket (a directory leg
     /// is priced at the line's home socket — see

@@ -3,6 +3,7 @@
 //! before any queue is built on top.
 
 use absmem::ThreadCtx;
+use coherence::sim::{OpKind, OpOutcome, Sim};
 use coherence::{Machine, MachineConfig, Program, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
@@ -421,4 +422,56 @@ fn setup_state_visible_to_all_threads() {
     for v in vals {
         assert_eq!(v, 100 + 101 + 102 + 103);
     }
+}
+
+/// Regression for the `submit_op` time-discipline assertion: a thread's
+/// local time legitimately lags the event clock (the clock advances while
+/// the thread runs user code), so a lagging `at` must be clamped forward,
+/// never scheduled into the simulator's past. Exercises a cold miss and an
+/// FAA on an already-owned line; under `debug_assertions` the engine's
+/// internal asserts fire on any violation.
+#[test]
+fn lagging_submission_never_schedules_into_the_past() {
+    let mut sim = Sim::new(Arc::new(MachineConfig::single_socket(2)));
+    let addr = 0x40;
+
+    // Cold FAA: full protocol round trip, advances the clock well past 0.
+    sim.submit_op(0, 0, OpKind::Faa(addr, 1));
+    while sim.resumes.is_empty() {
+        assert!(sim.step(), "engine stalled before completing the op");
+    }
+    let r = sim.resumes.pop().unwrap();
+    assert_eq!(r.core, 0);
+    assert!(r.time >= sim.now());
+    let clock = sim.now();
+    assert!(clock > 0, "round trip should have advanced the clock");
+
+    // Lagging resubmission (at=0 < clock) on the now-owned line: it
+    // issues through `IssueOp` with no coherence traffic, and its
+    // completion must sit at or after the clock, not at `at`.
+    let getm = sim.stats.msg("GetM");
+    sim.submit_op(0, 0, OpKind::Faa(addr, 1));
+    while sim.resumes.is_empty() {
+        assert!(sim.step(), "engine stalled before completing the op");
+    }
+    let r = sim.resumes.pop().unwrap();
+    assert_eq!(r.core, 0);
+    assert!(
+        r.time >= clock,
+        "owned-line RMW retired at {} before the clock {}",
+        r.time,
+        clock
+    );
+    assert!(matches!(r.outcome, OpOutcome::Val(1)));
+    assert_eq!(sim.stats.msg("GetM"), getm, "owned line needs no GetM");
+
+    // Lagging cold miss on a second core: same discipline.
+    sim.submit_op(1, 0, OpKind::Read(addr));
+    while sim.resumes.is_empty() {
+        assert!(sim.step(), "engine stalled before completing the read");
+    }
+    let r = sim.resumes.pop().unwrap();
+    assert_eq!(r.core, 1);
+    assert!(r.time >= clock);
+    assert!(matches!(r.outcome, OpOutcome::Val(2)));
 }

@@ -273,7 +273,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
                 spec.queue.name(),
                 spec.workers
             ),
-            fastpath: Some((s.fastpath_hits, s.fastpath_fallbacks)),
             hops: Some((s.hops_intra, s.hops_cross)),
         };
         obs::export(&sink.take_logs(), &report.trace, &meta)

@@ -35,13 +35,8 @@ pub struct TraceMeta {
     pub backend: &'static str,
     /// Free-form label shown as the process name ("SBQ-HTM producer 4").
     pub label: String,
-    /// Simulator fast-path totals `(hits, fallbacks)`, rendered as a
-    /// Chrome counter event on the Dir track so the admission rate sits
-    /// next to the coherence traffic it avoided. `None` for backends
-    /// without a fast path (native, runner).
-    pub fastpath: Option<(u64, u64)>,
     /// Simulator interconnect hop totals `(intra, cross)`, rendered as a
-    /// second Dir-track counter: how much of the coherence traffic shown
+    /// Dir-track counter: how much of the coherence traffic shown
     /// on the tracks stayed on-socket vs. crossed the interconnect.
     /// `None` on native, where there is no simulated topology.
     pub hops: Option<(u64, u64)>,
@@ -219,19 +214,8 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
         }
     }
 
-    // Fast-path totals as a counter sample on the Dir track: the two
-    // series plot as stacked bars next to the message instants whose
-    // absence they explain.
-    if let Some((hits, fallbacks)) = meta.fastpath {
-        have_dir = true;
-        let json = format!(
-            "{{\"name\":\"fastpath\",\"cat\":\"coherence\",\"ph\":\"C\",\"ts\":0,\"pid\":0,\"tid\":{DIR_TRACK},\"args\":{{\"hits\":{hits},\"fallbacks\":{fallbacks}}}}}"
-        );
-        push(&mut entries, 0, DIR_TRACK, json);
-    }
-
-    // Interconnect hop totals as a second Dir-track counter: the
-    // intra/cross split of the messages plotted above it.
+    // Interconnect hop totals as a Dir-track counter: the intra/cross
+    // split of the messages plotted above it.
     if let Some((intra, cross)) = meta.hops {
         have_dir = true;
         let json = format!(
@@ -454,7 +438,6 @@ mod tests {
         TraceMeta {
             backend: "sim",
             label: "unit test".to_string(),
-            fastpath: None,
             hops: None,
         }
     }
@@ -478,19 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_counter_lands_on_dir_track() {
-        let mut m = meta();
-        m.fastpath = Some((12, 3));
-        let json = export(&sample_logs(), &[], &m);
-        let sum = validate(&json).expect("counter event must validate");
-        assert_eq!(sum.counters, 1);
-        assert!(sum.tracks.contains(&DIR_TRACK));
-        assert!(json.contains("\"hits\":12"));
-        assert!(json.contains("\"fallbacks\":3"));
-        assert!(json.contains("\"name\":\"Dir\""));
-    }
-
-    #[test]
     fn hops_counter_lands_on_dir_track() {
         let mut m = meta();
         m.hops = Some((400, 70));
@@ -500,6 +470,7 @@ mod tests {
         assert!(sum.tracks.contains(&DIR_TRACK));
         assert!(json.contains("\"intra\":400"));
         assert!(json.contains("\"cross\":70"));
+        assert!(json.contains("\"name\":\"Dir\""));
     }
 
     #[test]

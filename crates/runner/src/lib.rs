@@ -162,7 +162,6 @@ impl JobReport {
         let meta = TraceMeta {
             backend: "runner",
             label: label.to_string(),
-            fastpath: None,
             hops: None,
         };
         obs::export(&sink.take_logs(), &[], &meta)

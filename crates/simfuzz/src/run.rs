@@ -144,7 +144,6 @@ pub fn trace_plan(plan: &FuzzPlan) -> String {
             plan.seed,
             plan.threads
         ),
-        fastpath: Some((report.stats.fastpath_hits, report.stats.fastpath_fallbacks)),
         hops: Some((report.stats.hops_intra, report.stats.hops_cross)),
     };
     obs::export(&sink.take_logs(), &report.trace, &meta)
