@@ -1,19 +1,19 @@
 //! Figure drivers: each regenerates one table/figure of the paper as TSV
-//! on stdout (see DESIGN.md §4 for the experiment index).
+//! (see DESIGN.md §4 for the experiment index).
 //!
-//! Every driver comes in two layers: a `*_text` function that takes
-//! explicit scale knobs plus a `jobs` worker count and *returns* the
-//! TSV, and a thin printing wrapper that fills the knobs from the
-//! environment (`SBQ_OPS`, `SBQ_THREADS`, `SBQ_JOBS`). Each sweep point
-//! is one independent simulation, so the text layer fans the points
-//! across a [`runner`] job pool and joins the rows in submission order —
-//! the output is byte-identical for any `jobs` value (the equivalence
-//! suite in `tests/figures_jobs.rs` pins this).
+//! Every driver is a `*_text` function that takes explicit scale knobs
+//! plus a `jobs` worker count and *returns* the TSV. [`FIGURES`] names
+//! them and holds each one's default scale; [`text`] renders one of
+//! them, or all in order, from [`Scale`] keys (`simctl fig` is its
+//! command-line face). Each sweep point is one independent simulation,
+//! so a driver fans the points across a [`runner`] job pool and joins
+//! the rows in submission order — the output is byte-identical for any
+//! `jobs` value (the equivalence suite in `tests/figures_jobs.rs` pins
+//! this).
 
 use crate::workload::{
     numa_workload, paper_workload, run_workload, Measurement, NumaShape, WorkloadKind,
 };
-use crate::{env_u64, thread_counts};
 use absmem::ThreadCtx;
 use coherence::{cycles_to_ns, Machine, MachineConfig, Program, SimCtx, TraceEvent};
 use harness::QueueKind;
@@ -139,18 +139,6 @@ pub fn fig1_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     s
 }
 
-/// Figure 1: TxCAS vs standard FAA latency as contention grows.
-pub fn fig1() {
-    print!(
-        "{}",
-        fig1_text(
-            env_u64("SBQ_OPS", 300),
-            &thread_counts(SWEEP),
-            runner::default_jobs()
-        )
-    );
-}
-
 // ---------------------------------------------------------------------
 // Figures 2 & 3: coherence message dynamics (trace reproductions)
 // ---------------------------------------------------------------------
@@ -251,7 +239,7 @@ pub fn fig2_text(jobs: usize) -> String {
                     report.stats.tx_commits, report.stats.tx_aborts_conflict
                 );
                 s.push_str("# swim lanes:\n");
-                s.push_str(&crate::trace_render::render_lanes(
+                s.push_str(&obs::trace_render::render_lanes(
                     &report.trace,
                     &["Dir", "C0", "C1", "C2"],
                     40,
@@ -262,12 +250,6 @@ pub fn fig2_text(jobs: usize) -> String {
         })
         .collect();
     sweep_rows(jobs, tasks)
-}
-
-/// Figure 2: message dynamics of contended standard CAS (2a) vs HTM-based
-/// CAS (2b), three cores.
-pub fn fig2() {
-    print!("{}", fig2_text(runner::default_jobs()));
 }
 
 /// Figure 3 as TSV: the tripped-writer race, with and without the §3.4.1
@@ -343,12 +325,6 @@ pub fn fig3_text(jobs: usize) -> String {
     sweep_rows(jobs, tasks)
 }
 
-/// Figure 3: the tripped-writer race, with and without the §3.4.1
-/// microarchitectural fix.
-pub fn fig3() {
-    print!("{}", fig3_text(runner::default_jobs()));
-}
-
 // ---------------------------------------------------------------------
 // Figures 5–7: the queue benchmarks
 // ---------------------------------------------------------------------
@@ -394,21 +370,8 @@ fn queue_figure_text(
     s
 }
 
-fn queue_figure(kind: WorkloadKind, title: &str, metric: fn(&Measurement) -> Vec<f64>) {
-    print!(
-        "{}",
-        queue_figure_text(
-            kind,
-            title,
-            metric,
-            env_u64("SBQ_OPS", 200),
-            &thread_counts(SWEEP),
-            runner::default_jobs()
-        )
-    );
-}
-
-/// Figure 5 as TSV (explicit scale; one job per thread count).
+/// Figure 5 as TSV: producer-only latency [ns/op] and throughput
+/// [Mop/s]. One job per thread count.
 pub fn fig5_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     queue_figure_text(
         WorkloadKind::ProducerOnly,
@@ -420,34 +383,33 @@ pub fn fig5_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     )
 }
 
-/// Figure 5: producer-only latency [ns/op] and throughput [Mop/s].
-pub fn fig5() {
-    queue_figure(
-        WorkloadKind::ProducerOnly,
-        "# Figure 5: enqueue-only — latency[ns/op]/throughput[Mop/s] per queue",
-        |m| vec![m.latency_ns, m.throughput_mops],
-    );
-}
-
-/// Figure 6: consumer-only dequeue latency [ns/op].
-pub fn fig6() {
-    queue_figure(
+/// Figure 6 as TSV: consumer-only dequeue latency [ns/op].
+pub fn fig6_text(ops: u64, threads: &[usize], jobs: usize) -> String {
+    queue_figure_text(
         WorkloadKind::ConsumerOnly,
         "# Figure 6: dequeue-only — latency[ns/op] per queue",
         |m| vec![m.latency_ns],
-    );
+        ops,
+        threads,
+        jobs,
+    )
 }
 
-/// Figure 7: mixed workload, normalized duration [ns/op].
-pub fn fig7() {
-    queue_figure(
+/// Figure 7 as TSV: mixed workload, normalized duration [ns/op].
+pub fn fig7_text(ops: u64, threads: &[usize], jobs: usize) -> String {
+    queue_figure_text(
         WorkloadKind::Mixed,
         "# Figure 7: mixed producers(socket0)/consumers(socket1) — duration[ns/op]",
         |m| vec![m.duration_ns_per_op],
-    );
+        ops,
+        threads,
+        jobs,
+    )
 }
 
-/// The headline comparison as TSV: one job per workload row.
+/// The headline comparison (§1, §6.2) as TSV: SBQ-HTM vs WF-Queue
+/// throughput ratio on producer-only and mixed workloads at `t`
+/// threads. One job per workload row.
 pub fn speedups_text(ops: u64, t: usize, jobs: usize) -> String {
     let mut s = String::from("# Headline speedups (SBQ-HTM over WF-Queue)\n");
     s.push_str(&header_row(&[
@@ -476,16 +438,6 @@ pub fn speedups_text(ops: u64, t: usize, jobs: usize) -> String {
     s
 }
 
-/// The headline comparison (§1, §6.2): SBQ-HTM vs WF-Queue throughput
-/// ratio on producer-only and mixed workloads at full concurrency.
-pub fn speedups() {
-    let t = *thread_counts(SWEEP).last().unwrap_or(&44);
-    print!(
-        "{}",
-        speedups_text(env_u64("SBQ_OPS", 200), t, runner::default_jobs())
-    );
-}
-
 // ---------------------------------------------------------------------
 // NUMA sweeps: 44/88/176 cores on 1–4 sockets
 // ---------------------------------------------------------------------
@@ -494,21 +446,16 @@ pub fn speedups() {
 /// dual-socket 88 it measures on, and a quad-socket 176 projection.
 pub const NUMA_GRID: &[(usize, usize)] = &[(1, 44), (2, 88), (4, 176)];
 
-/// Parses `spec` as a `sockets x threads` grid (e.g. `"1x44,2x88"`),
-/// falling back to [`NUMA_GRID`] when empty or unparseable.
-pub fn numa_grid(spec: &str) -> Vec<(usize, usize)> {
-    let parsed: Vec<(usize, usize)> = spec
-        .split(',')
-        .filter_map(|p| {
+/// Parses `spec` as a `sockets x threads` grid (e.g. `"1x44,2x88"`);
+/// `None` if any entry is malformed or zero.
+pub fn numa_grid(spec: &str) -> Option<Vec<(usize, usize)>> {
+    spec.split(',')
+        .map(|p| {
             let (s, t) = p.trim().split_once('x')?;
-            Some((s.trim().parse().ok()?, t.trim().parse().ok()?))
+            let (s, t) = (s.trim().parse().ok()?, t.trim().parse().ok()?);
+            (s > 0 && t > 0).then_some((s, t))
         })
-        .collect();
-    if parsed.is_empty() {
-        NUMA_GRID.to_vec()
-    } else {
-        parsed
-    }
+        .collect()
 }
 
 /// The NUMA figure as TSV — two tables over a `(sockets, threads)` grid:
@@ -593,22 +540,12 @@ pub fn fig_numa_text(ops: u64, grid: &[(usize, usize)], jobs: usize) -> String {
     s
 }
 
-/// The NUMA figure with environment knobs: `SBQ_OPS` scales per-thread
-/// work, `SBQ_NUMA_GRID` overrides the `sockets x threads` grid (e.g.
-/// `SBQ_NUMA_GRID=2x88` for one dual-socket point).
-pub fn fig_numa() {
-    let grid = numa_grid(&std::env::var("SBQ_NUMA_GRID").unwrap_or_default());
-    print!(
-        "{}",
-        fig_numa_text(env_u64("SBQ_OPS", 120), &grid, runner::default_jobs())
-    );
-}
-
 // ---------------------------------------------------------------------
 // Ablations
 // ---------------------------------------------------------------------
 
-/// §4.1 ablation as TSV: one job per delay value.
+/// §4.1 ablation as TSV: the intra-transaction delay swept at high
+/// contention (`t` threads). One job per delay value.
 pub fn ablate_delay_text(ops: u64, t: usize, jobs: usize) -> String {
     let mut s = format!(
         "# Ablation: TxCAS intra-transaction delay at {t} threads (paper optimum ~600 cycles = 270ns)\n"
@@ -639,16 +576,8 @@ pub fn ablate_delay_text(ops: u64, t: usize, jobs: usize) -> String {
     s
 }
 
-/// §4.1: sweep the intra-transaction delay at high contention.
-pub fn ablate_delay() {
-    let t = *thread_counts(&[22]).last().unwrap_or(&22);
-    print!(
-        "{}",
-        ablate_delay_text(env_u64("SBQ_OPS", 200), t, runner::default_jobs())
-    );
-}
-
-/// §3.4.1 ablation as TSV: one job per fix variant.
+/// §3.4.1 ablation as TSV: tripped writers across sockets, with and
+/// without the fix. One job per fix variant.
 pub fn ablate_fix_text(ops: u64, jobs: usize) -> String {
     let mut s =
         String::from("# Ablation: cross-socket TxCAS — tripped writers and the microarch fix\n");
@@ -714,15 +643,8 @@ pub fn ablate_fix_text(ops: u64, jobs: usize) -> String {
     s
 }
 
-/// §3.4.1: tripped writers across sockets, with and without the fix.
-pub fn ablate_fix() {
-    print!(
-        "{}",
-        ablate_fix_text(env_u64("SBQ_OPS", 150), runner::default_jobs())
-    );
-}
-
-/// §5.3.4 ablation as TSV: one job per capacity / thread-count point.
+/// §5.3.4 ablation as TSV: basket capacity B vs enqueue latency (O(B/T)
+/// initialization). One job per capacity / thread-count point.
 pub fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
     // Axis 1: oversizing the basket at fixed threads. The algorithm gives
     // every enqueuer a private cell, so capacity < threads is structurally
@@ -764,16 +686,10 @@ pub fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
     s
 }
 
-/// §5.3.4: basket capacity B vs enqueue latency (O(B/T) initialization).
-pub fn ablate_basket() {
-    let t = *thread_counts(&[16]).last().unwrap_or(&16);
-    print!(
-        "{}",
-        ablate_basket_text(env_u64("SBQ_OPS", 200), t, runner::default_jobs())
-    );
-}
-
-/// §8 ablation as TSV: one job per thread count.
+/// §8 future work as TSV: the stock SBQ basket (FAA-ticketed
+/// extraction) against the experimental striped basket on the
+/// consumer-only workload, where the FAA is the bottleneck (§5.3.4).
+/// One job per thread count.
 pub fn ablate_deq_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     use crate::workload::run_generic;
     use harness::{SbqHtmQ, SbqStripedQ};
@@ -800,41 +716,143 @@ pub fn ablate_deq_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     s
 }
 
-/// §8 future work: scalable-dequeue basket. Compares the stock SBQ basket
-/// (FAA-ticketed extraction) against the experimental striped basket on
-/// the consumer-only workload, where the FAA is the bottleneck (§5.3.4).
-pub fn ablate_deq() {
-    print!(
-        "{}",
-        ablate_deq_text(
-            env_u64("SBQ_OPS", 150),
-            &thread_counts(&[2, 8, 16, 32, 44]),
-            runner::default_jobs()
-        )
-    );
+// ---------------------------------------------------------------------
+// The figure table
+// ---------------------------------------------------------------------
+
+/// One regenerable figure: its name, default scale, and driver.
+pub struct Figure {
+    pub name: &'static str,
+    /// Default measured ops per thread (0: the figure has a fixed size).
+    ops: u64,
+    /// Default thread sweep; single-point figures run at its last entry,
+    /// and figures with a fixed shape leave it empty.
+    threads: &'static [usize],
+    run: fn(Knobs) -> String,
 }
 
-/// Runs every figure in sequence (the `cargo bench` entry point).
-pub fn all() {
-    fig1();
-    println!();
-    fig2();
-    fig3();
-    fig5();
-    println!();
-    fig6();
-    println!();
-    fig7();
-    println!();
-    speedups();
-    println!();
-    ablate_delay();
-    println!();
-    ablate_fix();
-    println!();
-    ablate_basket();
-    println!();
-    ablate_deq();
-    println!();
-    fig_numa();
+/// A figure's scale after [`Scale`] overrides its defaults.
+struct Knobs<'a> {
+    ops: u64,
+    threads: &'a [usize],
+    grid: &'a [(usize, usize)],
+    jobs: usize,
+}
+
+fn last(threads: &[usize]) -> usize {
+    *threads.last().expect("a non-empty thread sweep")
+}
+
+/// Every figure in the order `all` renders them, with the defaults that
+/// reproduce the paper's sweeps.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        name: "fig1",
+        ops: 300,
+        threads: SWEEP,
+        run: |k| fig1_text(k.ops, k.threads, k.jobs),
+    },
+    Figure {
+        name: "fig2",
+        ops: 0,
+        threads: &[],
+        run: |k| fig2_text(k.jobs),
+    },
+    Figure {
+        name: "fig3",
+        ops: 0,
+        threads: &[],
+        run: |k| fig3_text(k.jobs),
+    },
+    Figure {
+        name: "fig5",
+        ops: 200,
+        threads: SWEEP,
+        run: |k| fig5_text(k.ops, k.threads, k.jobs),
+    },
+    Figure {
+        name: "fig6",
+        ops: 200,
+        threads: SWEEP,
+        run: |k| fig6_text(k.ops, k.threads, k.jobs),
+    },
+    Figure {
+        name: "fig7",
+        ops: 200,
+        threads: SWEEP,
+        run: |k| fig7_text(k.ops, k.threads, k.jobs),
+    },
+    Figure {
+        name: "speedups",
+        ops: 200,
+        threads: SWEEP,
+        run: |k| speedups_text(k.ops, last(k.threads), k.jobs),
+    },
+    Figure {
+        name: "ablate-delay",
+        ops: 200,
+        threads: &[22],
+        run: |k| ablate_delay_text(k.ops, last(k.threads), k.jobs),
+    },
+    Figure {
+        name: "ablate-fix",
+        ops: 150,
+        threads: &[],
+        run: |k| ablate_fix_text(k.ops, k.jobs),
+    },
+    Figure {
+        name: "ablate-basket",
+        ops: 200,
+        threads: &[16],
+        run: |k| ablate_basket_text(k.ops, last(k.threads), k.jobs),
+    },
+    Figure {
+        name: "ablate-deq",
+        ops: 150,
+        threads: &[2, 8, 16, 32, 44],
+        run: |k| ablate_deq_text(k.ops, k.threads, k.jobs),
+    },
+    Figure {
+        name: "fig-numa",
+        ops: 120,
+        threads: &[],
+        run: |k| fig_numa_text(k.ops, k.grid, k.jobs),
+    },
+];
+
+/// Scale overrides for [`text`]; `None` keeps each figure's default.
+#[derive(Debug, Clone, Default)]
+pub struct Scale {
+    pub ops: Option<u64>,
+    pub threads: Option<Vec<usize>>,
+    /// The `fig-numa` grid (default [`NUMA_GRID`]).
+    pub grid: Option<Vec<(usize, usize)>>,
+}
+
+/// Renders the figure `name` (`numa` is short for `fig-numa`), or every
+/// figure in [`FIGURES`] order for `all`, separated by blank lines.
+/// `None` for an unknown name.
+pub fn text(name: &str, scale: &Scale, jobs: usize) -> Option<String> {
+    let name = if name == "numa" { "fig-numa" } else { name };
+    let figures: Vec<&Figure> = FIGURES
+        .iter()
+        .filter(|f| name == "all" || f.name == name)
+        .collect();
+    if figures.is_empty() {
+        return None;
+    }
+    let mut s = String::new();
+    for f in figures {
+        // The trace figures end with their own blank line.
+        if !s.is_empty() && !s.ends_with("\n\n") {
+            s.push('\n');
+        }
+        s.push_str(&(f.run)(Knobs {
+            ops: scale.ops.unwrap_or(f.ops),
+            threads: scale.threads.as_deref().unwrap_or(f.threads),
+            grid: scale.grid.as_deref().unwrap_or(NUMA_GRID),
+            jobs,
+        }));
+    }
+    Some(s)
 }

@@ -6,37 +6,15 @@
 //!   consumer-only (pre-filled), and mixed with producers and consumers on
 //!   separate sockets — runnable on either `harness` backend (queue
 //!   adapters and execution live in the `harness` crate);
-//! * [`fig`] — drivers that print each figure's data series as TSV
-//!   (figure id → DESIGN.md §4 maps it to the paper).
+//! * [`fig`] — drivers that render each figure's data series as TSV
+//!   (figure id → DESIGN.md §4 maps it to the paper);
+//! * [`wallbench`] — the wall-clock scheduler benchmark behind
+//!   `simctl bench`.
 //!
-//! The binary `figures` exposes the drivers as subcommands; the
-//! `paper_figures` bench target runs all of them at reduced scale so
-//! `cargo bench` reproduces the full evaluation. Scale knobs:
-//! `SBQ_OPS` (operations per thread) and `SBQ_THREADS`
-//! (comma-separated thread counts).
+//! `simctl fig <name|all> [ops= threads= grid= jobs= out=]` is the one
+//! front door to the figure drivers; the scale is set by its keys, never
+//! by the environment.
 
 pub mod fig;
 pub mod wallbench;
 pub mod workload;
-
-/// Deprecated location: the swim-lane renderer moved to the `obs` crate
-/// with the rest of the presentation/export layer. Re-exported here for
-/// one release so `bench::trace_render::render_lanes` keeps compiling.
-pub use obs::trace_render;
-
-/// Reads a scale knob from the environment.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Thread counts to sweep, from `SBQ_THREADS` (comma-separated) or the
-/// default list.
-pub fn thread_counts(default: &[usize]) -> Vec<usize> {
-    match std::env::var("SBQ_THREADS") {
-        Ok(s) => s.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
-        Err(_) => default.to_vec(),
-    }
-}

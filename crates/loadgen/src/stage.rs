@@ -1,7 +1,7 @@
 //! The driven stage graph: ingress queue → worker pool → egress queue,
 //! executed on any [`harness::Backend`].
 //!
-//! This generalizes `examples/pipeline.rs` into a *measured, open-loop*
+//! This is a producer/consumer pipeline run as a *measured, open-loop*
 //! service: sources replay the plan's precomputed arrival schedule
 //! (waiting out the gap to each request's due time, never waiting for
 //! completions), workers dequeue ingress, spend the request's service

@@ -9,11 +9,9 @@
 //! 170                              ✕abort       ✕abort
 //! ```
 //!
-//! Used by the `figures` binary (`fig2 --render`, `fig3 --render`) and
-//! the `coherence_trace` example; the Chrome trace-event export
+//! Used by the Figure 2 driver (`simctl fig fig2`) and the
+//! `coherence_trace` example; the Chrome trace-event export
 //! ([`crate::chrome`]) and TSV are the machine-readable forms.
-//! (Moved here from `bench`, which re-exports it for one release, so
-//! figure rendering and the exporters live in one crate.)
 
 use coherence::TraceEvent;
 use std::collections::BTreeMap;

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example load_service`
 //!
-//! Unlike `examples/pipeline.rs` (closed-loop: stages pace each other),
+//! Unlike a closed-loop pipeline (where stages pace each other),
 //! arrivals here are precomputed from the seed, so the queue's
 //! saturation shows up as growing end-to-end latency and ingress depth
 //! rather than as reduced throughput. Everything below is simulated and

@@ -1,6 +1,6 @@
 //! simctl — run one queue workload with custom parameters, printing the
-//! measurement as TSV. The interactive companion to the fixed `figures`
-//! drivers.
+//! measurement as TSV, or any of the repo's experiments (figures, wall
+//! bench, fuzzing, load sweeps, scenarios) by subcommand.
 //!
 //! ```text
 //! simctl <queue> <workload> <threads> [key=value ...]
@@ -54,23 +54,27 @@
 //! `jobs` value; with `jobs > 1` the points contend for host cores, so
 //! `bench` defaults to the undisturbed serial measurement.
 //!
-//! `simctl fig <fig1|fig5|numa> [key=value ...]` regenerates one figure
-//! sweep as TSV (the CLI face of the `figures` binary's drivers, with
-//! explicit keys instead of environment variables). Keys:
+//! `simctl fig <name|all> [key=value ...]` regenerates one of the
+//! paper's figures (or all of them, in order) as TSV — the one front
+//! door to the [`bench::fig`] drivers. Names: `fig1 fig2 fig3 fig5 fig6
+//! fig7 speedups ablate-delay ablate-fix ablate-basket ablate-deq
+//! fig-numa` (or `numa`). Keys:
 //!
 //! ```text
-//! ops      measured ops per thread            default 120
-//! threads  comma-separated sweep (fig1/fig5)  default 1,2,4,...,44
-//! grid     sockets x threads list (numa)      default 1x44,2x88,4x176
+//! ops      measured ops per thread       default per figure (fig1 300, fig-numa 120, ...)
+//! threads  comma-separated sweep; single-point figures use its last entry
+//!                                        default per figure (1,2,4,...,44 for fig1/fig5-7)
+//! grid     sockets x threads list (fig-numa)  default 1x44,2x88,4x176
 //! jobs     sweep points in parallel; 0 = auto default 0
 //! out      also write the TSV here (optional)
 //! ```
 //!
-//! `fig numa` emits two tables over the grid: the Figure-1 FAA-vs-TxCAS
-//! crossover on multi-socket machines (with cross-socket hop counts per
-//! run) and the NUMA scenario family (socket-local / cross-split /
-//! skewed-hops), SBQ-HTM vs SBQ-CAS with the hop split. The output is a
-//! pure function of the keys — byte-identical for any `jobs`.
+//! `ops` and every `threads` entry must be positive. `fig numa` emits
+//! two tables over the grid: the Figure-1 FAA-vs-TxCAS crossover on
+//! multi-socket machines (with cross-socket hop counts per run) and the
+//! NUMA scenario family (socket-local / cross-split / skewed-hops),
+//! SBQ-HTM vs SBQ-CAS with the hop split. The output is a pure function
+//! of the keys — byte-identical for any `jobs`.
 //!
 //! `simctl trace <queue> <workload> <threads> [key=value ...]` runs the
 //! workload once with observability attached and writes a Chrome
@@ -100,7 +104,7 @@
 //! `simctl fuzz [options]` runs a [`simfuzz`] campaign — randomized
 //! workloads with fault injection, every history linearizability-checked;
 //! failures are shrunk and written as replayable artifacts. Options
-//! (either `--key value` or `key=value`):
+//! (`--key value`, `--key=value` or `key=value`):
 //!
 //! ```text
 //! --seeds N        consecutive seeds to run     default 64
@@ -111,7 +115,7 @@
 //!                  linearizability and the drained dequeue multisets
 //! --artifacts D    reproducer output directory  default fuzz-artifacts
 //! --jobs N         worker threads for the seed pool; 0 = auto
-//!                  (SBQ_JOBS or the host parallelism)   default auto
+//!                  (the host parallelism)               default auto
 //! --runner-trace F write the pool's utilization Chrome trace to F
 //! --repro FILE     replay one artifact instead of running a campaign
 //! ```
@@ -180,12 +184,19 @@
 //! out      write the summary here (optional)
 //! trace-out  write a validated Chrome trace here (optional)
 //! ```
+//!
+//! Every subcommand reads its `key=value` arguments through one parser:
+//! a missing `=`, an unknown key or a malformed value names the key and
+//! exits 2, and `jobs=0` means the host's parallelism wherever a `jobs`
+//! key exists.
 
 use bench::workload::{
     paper_workload, run_workload, run_workload_native, trace_workload, Workload, WorkloadKind,
 };
 use harness::{run_scenario, ActorFamily, BackendKind, QueueKind, QueueParams, ScenarioSpec};
 use loadgen::{ArrivalPattern, LoadPlan, SweepSpec};
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::str::FromStr;
 
 const HELP: &str = "simctl — run queue experiments from the command line
 
@@ -194,9 +205,11 @@ usage:
       one closed-loop workload point (queues: sbq-htm sbq-cas sbq-striped
       bq wf cc ms; workloads: producer consumer mixed; keys: ops backend
       hop hop-cross delay basket fix seed sockets policy)
-  simctl fig <fig1|fig5|numa> [ops= threads= grid= jobs= out=]
-      regenerate one figure sweep as TSV; `numa` sweeps a sockets x
-      threads grid (default 1x44,2x88,4x176) with cross-socket hop counts
+  simctl fig <name|all> [ops= threads= grid= jobs= out=]
+      regenerate the paper's figures as TSV (names: fig1 fig2 fig3 fig5
+      fig6 fig7 speedups ablate-delay ablate-fix ablate-basket ablate-deq
+      fig-numa/numa); `numa` sweeps a sockets x threads grid (default
+      1x44,2x88,4x176) with cross-socket hop counts
   simctl trace <queue> <workload> <threads> [key=value ...] [out=PATH] [tsv-out=PATH]
       one observed run exported as a Chrome trace-event JSON document
   simctl trace-validate <file.json>
@@ -226,6 +239,58 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// One `key=value` argument, handed to a subcommand by [`parse_keys`].
+struct Val<'a> {
+    key: &'a str,
+    raw: &'a str,
+}
+
+impl Val<'_> {
+    /// Names the key and its bad value, then exits 2.
+    fn bad(&self) -> ! {
+        eprintln!("bad value `{}` for key `{}`", self.raw, self.key);
+        std::process::exit(2);
+    }
+
+    /// The value through a domain parser; exits 2 if it returns `None`.
+    fn with<T>(&self, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        parse(self.raw).unwrap_or_else(|| self.bad())
+    }
+
+    fn parse<T: FromStr>(&self) -> T {
+        self.with(|v| v.parse().ok())
+    }
+
+    /// A comma-separated list.
+    fn list<T: FromStr>(&self) -> Vec<T> {
+        self.with(|v| v.split(',').map(|x| x.trim().parse().ok()).collect())
+    }
+
+    /// A worker-thread count, `0` meaning the host's parallelism.
+    fn jobs(&self) -> usize {
+        match self.parse() {
+            0 => runner::default_jobs(),
+            n => n,
+        }
+    }
+}
+
+/// The one `key=value` parser: hands each argument to `set`, which
+/// returns `false` for a key it does not take. A missing `=` or an
+/// unknown key exits 2 naming it.
+fn parse_keys(args: &[String], mut set: impl FnMut(&Val) -> bool) {
+    for arg in args {
+        let Some((key, raw)) = arg.split_once('=') else {
+            eprintln!("expected key=value, got `{arg}`");
+            std::process::exit(2);
+        };
+        if !set(&Val { key, raw }) {
+            eprintln!("unknown key `{key}`");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// One parsed `<queue> <workload> <threads> [key=value ...]` run request.
 struct RunSpec {
     queue: QueueKind,
@@ -236,7 +301,7 @@ struct RunSpec {
 
 /// Parses the shared single-run grammar. Keys the caller recognizes are
 /// routed through `extra` first (return `true` to consume).
-fn parse_run_spec(args: &[String], mut extra: impl FnMut(&str, &str) -> bool) -> RunSpec {
+fn parse_run_spec(args: &[String], mut extra: impl FnMut(&Val) -> bool) -> RunSpec {
     if args.len() < 3 {
         usage();
     }
@@ -260,58 +325,42 @@ fn parse_run_spec(args: &[String], mut extra: impl FnMut(&str, &str) -> bool) ->
     let mut sockets: Option<usize> = None;
     let mut policy: Option<coherence::HomePolicy> = None;
     let mut w = paper_workload(kind, threads, ops);
-    for kv in &args[3..] {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        if extra(k, v) {
-            continue;
+    parse_keys(&args[3..], |v| {
+        if extra(v) {
+            return true;
         }
-        if k == "backend" {
-            backend = BackendKind::parse(v).unwrap_or_else(|| {
-                eprintln!("unknown backend `{v}`");
-                usage();
-            });
-            continue;
-        }
-        if k == "policy" {
-            policy = Some(match v {
-                "fixed" => coherence::HomePolicy::Fixed,
-                "interleave" => coherence::HomePolicy::Interleave,
-                "first-touch" | "firsttouch" => coherence::HomePolicy::FirstTouch,
-                other => {
-                    eprintln!("unknown home policy `{other}`");
-                    usage();
-                }
-            });
-            continue;
-        }
-        let n: u64 = v.parse().unwrap_or_else(|_| usage());
-        match k {
-            "ops" => ops = n,
-            "hop" => w.machine.hop_intra = n,
-            "hop-cross" => w.machine.hop_cross = n,
+        match v.key {
+            "backend" => backend = v.with(BackendKind::parse),
+            "policy" => {
+                policy = Some(v.with(|p| match p {
+                    "fixed" => Some(coherence::HomePolicy::Fixed),
+                    "interleave" => Some(coherence::HomePolicy::Interleave),
+                    "first-touch" | "firsttouch" => Some(coherence::HomePolicy::FirstTouch),
+                    _ => None,
+                }))
+            }
+            "ops" => ops = v.parse(),
+            "hop" => w.machine.hop_intra = v.parse(),
+            "hop-cross" => w.machine.hop_cross = v.parse(),
             "delay" => {
-                w.qp.txcas.intra_delay = n;
-                w.qp.delay_cycles = n;
+                w.qp.txcas.intra_delay = v.parse();
+                w.qp.delay_cycles = w.qp.txcas.intra_delay;
             }
             "basket" => {
-                w.qp.basket_capacity = n as usize;
+                let n: usize = v.parse();
+                w.qp.basket_capacity = n;
                 w.qp = QueueParams {
-                    enqueuers: w.qp.enqueuers.min(n as usize),
+                    enqueuers: w.qp.enqueuers.min(n),
                     ..w.qp
                 };
             }
-            "fix" => w.machine.microarch_fix = n != 0,
-            "seed" => w.machine.seed = n,
-            "sockets" => sockets = Some((n as usize).max(1)),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
+            "fix" => w.machine.microarch_fix = v.parse::<u64>() != 0,
+            "seed" => w.machine.seed = v.parse(),
+            "sockets" => sockets = Some(v.parse::<usize>().max(1)),
+            _ => return false,
         }
-    }
+        true
+    });
     // Re-derive ops-dependent fields with the final value.
     let mut w2 = paper_workload(kind, threads, ops);
     w2.machine = w.machine.clone();
@@ -338,51 +387,40 @@ fn parse_run_spec(args: &[String], mut extra: impl FnMut(&str, &str) -> bool) ->
 
 fn fuzz_main(args: &[String]) {
     let mut cfg = simfuzz::CampaignConfig {
-        jobs: 0, // auto: SBQ_JOBS or the host's available parallelism
+        jobs: 0, // auto: the host's available parallelism
         ..Default::default()
     };
     let mut repro: Option<String> = None;
     let mut runner_trace: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        // Accept both `--key value` and `key=value`.
-        let (k, v) = if let Some((k, v)) = args[i].split_once('=') {
-            (k.trim_start_matches("--"), v.to_string())
+    // `--key value` and `--key=value` are spelled `key=value` here.
+    let mut kvs = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let arg = arg.trim_start_matches("--");
+        if arg.contains('=') {
+            kvs.push(arg.to_string());
         } else {
-            let k = args[i].trim_start_matches("--");
-            i += 1;
-            let Some(v) = args.get(i) else {
-                eprintln!("--{k} needs a value");
+            let Some(v) = it.next() else {
+                eprintln!("--{arg} needs a value");
                 usage();
             };
-            (k, v.clone())
-        };
-        match k {
-            "seeds" => cfg.seeds = v.parse().unwrap_or_else(|_| usage()),
-            "start" | "start-seed" => cfg.start_seed = v.parse().unwrap_or_else(|_| usage()),
-            "queue" => {
-                cfg.queue = Some(QueueKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown queue `{v}`");
-                    usage();
-                }))
-            }
-            "backend" => {
-                cfg.backend = BackendKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown backend `{v}`");
-                    usage();
-                })
-            }
-            "artifacts" => cfg.artifacts_dir = Some(v.into()),
-            "jobs" => cfg.jobs = v.parse().unwrap_or_else(|_| usage()),
-            "runner-trace" => runner_trace = Some(v),
-            "repro" => repro = Some(v),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
+            kvs.push(format!("{arg}={v}"));
         }
-        i += 1;
     }
+    parse_keys(&kvs, |v| {
+        match v.key {
+            "seeds" => cfg.seeds = v.parse(),
+            "start" | "start-seed" => cfg.start_seed = v.parse(),
+            "queue" => cfg.queue = Some(v.with(QueueKind::parse)),
+            "backend" => cfg.backend = v.with(BackendKind::parse),
+            "artifacts" => cfg.artifacts_dir = Some(v.raw.into()),
+            "jobs" => cfg.jobs = v.jobs(),
+            "runner-trace" => runner_trace = Some(v.raw.into()),
+            "repro" => repro = Some(v.raw.into()),
+            _ => return false,
+        }
+        true
+    });
 
     if let Some(path) = repro {
         let r = simfuzz::reproduce(std::path::Path::new(&path)).unwrap_or_else(|e| {
@@ -467,33 +505,22 @@ fn bench_main(args: &[String]) {
     // points perturb each other. `jobs=0` opts into auto.
     let mut jobs = 1usize;
     let mut runner_trace: Option<String> = None;
-    for kv in args {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "scale" => scale = v.parse().unwrap_or_else(|_| usage()),
-            "reps" => reps = v.parse().unwrap_or_else(|_| usage()),
-            "label" => label = v.to_string(),
-            "out" => out = v.to_string(),
-            "tsv-out" => tsv_out = Some(v.to_string()),
-            "baseline" => baseline = Some(v.to_string()),
-            "baseline-label" => baseline_label = v.to_string(),
-            "native" => native = v != "0",
-            "jobs" => jobs = v.parse().unwrap_or_else(|_| usage()),
-            "runner-trace" => runner_trace = Some(v.to_string()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
+    parse_keys(args, |v| {
+        match v.key {
+            "scale" => scale = v.parse(),
+            "reps" => reps = v.parse(),
+            "label" => label = v.raw.into(),
+            "out" => out = v.raw.into(),
+            "tsv-out" => tsv_out = Some(v.raw.into()),
+            "baseline" => baseline = Some(v.raw.into()),
+            "baseline-label" => baseline_label = v.raw.into(),
+            "native" => native = v.raw != "0",
+            "jobs" => jobs = v.jobs(),
+            "runner-trace" => runner_trace = Some(v.raw.into()),
+            _ => return false,
         }
-    }
-    let jobs = if jobs == 0 {
-        runner::default_jobs()
-    } else {
-        jobs
-    };
+        true
+    });
     // Validate the baseline before spending time on the runs.
     let base_points = baseline.map(|path| {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -531,54 +558,36 @@ fn bench_main(args: &[String]) {
     eprintln!("wrote {out}");
 }
 
-/// `simctl fig <name> [key=value ...]`: regenerate one figure sweep as
-/// TSV with explicit keys (the `figures` binary's env-knob drivers,
-/// CLI-shaped). The output is a pure function of the keys.
+/// `simctl fig <name|all> [key=value ...]`: regenerate figures as TSV
+/// (see [`bench::fig::text`]). The output is a pure function of the keys.
 fn fig_main(args: &[String]) {
     let Some((name, rest)) = args.split_first() else {
-        eprintln!("fig needs a figure: fig1, fig5, or numa");
+        eprintln!("fig needs a figure name or `all`");
         usage();
     };
-    let mut ops = 120u64;
-    let mut jobs = 0usize;
-    let mut threads: Vec<usize> = vec![1, 2, 4, 8, 12, 16, 22, 28, 36, 44];
-    let mut grid = bench::fig::NUMA_GRID.to_vec();
+    let mut scale = bench::fig::Scale::default();
+    let mut jobs = runner::default_jobs();
     let mut out: Option<String> = None;
-    for kv in rest {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "ops" => ops = v.parse().unwrap_or_else(|_| usage()),
-            "jobs" => jobs = v.parse().unwrap_or_else(|_| usage()),
+    parse_keys(rest, |v| {
+        match v.key {
+            "ops" => scale.ops = Some(v.parse::<NonZeroU64>().get()),
             "threads" => {
-                threads = v
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
+                scale.threads = Some(v.list().into_iter().map(NonZeroUsize::get).collect())
             }
-            "grid" => grid = bench::fig::numa_grid(v),
-            "out" => out = Some(v.to_string()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
+            "grid" => scale.grid = Some(v.with(bench::fig::numa_grid)),
+            "jobs" => jobs = v.jobs(),
+            "out" => out = Some(v.raw.into()),
+            _ => return false,
         }
-    }
-    let jobs = if jobs == 0 {
-        runner::default_jobs()
-    } else {
-        jobs
-    };
-    let text = match name.as_str() {
-        "fig1" => bench::fig::fig1_text(ops, &threads, jobs),
-        "fig5" => bench::fig::fig5_text(ops, &threads, jobs),
-        "numa" | "fig-numa" => bench::fig::fig_numa_text(ops, &grid, jobs),
-        other => {
-            eprintln!("unknown figure `{other}` (expected fig1, fig5, or numa)");
-            usage();
-        }
+        true
+    });
+    let Some(text) = bench::fig::text(name, &scale, jobs) else {
+        let names: Vec<&str> = bench::fig::FIGURES.iter().map(|f| f.name).collect();
+        eprintln!(
+            "unknown figure `{name}` (expected {}, numa or all)",
+            names.join(", ")
+        );
+        std::process::exit(2);
     };
     print!("{text}");
     if let Some(path) = out {
@@ -590,13 +599,13 @@ fn fig_main(args: &[String]) {
 fn trace_main(args: &[String]) {
     let mut out: Option<String> = None;
     let mut tsv_out: Option<String> = None;
-    let spec = parse_run_spec(args, |k, v| match k {
+    let spec = parse_run_spec(args, |v| match v.key {
         "out" => {
-            out = Some(v.to_string());
+            out = Some(v.raw.into());
             true
         }
         "tsv-out" => {
-            tsv_out = Some(v.to_string());
+            tsv_out = Some(v.raw.into());
             true
         }
         _ => false,
@@ -704,20 +713,14 @@ fn bench_check_main(args: &[String]) {
     };
     let mut against: Option<String> = None;
     let mut max_regress = 15.0f64;
-    for kv in rest {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "against" => against = Some(v.to_string()),
-            "max-regress" => max_regress = v.parse().unwrap_or_else(|_| usage()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
+    parse_keys(rest, |v| {
+        match v.key {
+            "against" => against = Some(v.raw.into()),
+            "max-regress" => max_regress = v.parse(),
+            _ => return false,
         }
-    }
+        true
+    });
     let points = load_bench_points(path);
     for (i, p) in points.iter().enumerate() {
         let name = p
@@ -816,52 +819,29 @@ fn load_main(args: &[String]) {
     let mut jobs = 1usize;
     let mut out: Option<String> = None;
     let mut tsv_out: Option<String> = None;
-    for kv in rest {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "backend" => {
-                backend = BackendKind::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown backend `{v}`");
-                    usage();
-                })
-            }
-            "pattern" => {
-                plan.pattern = parse_pattern(v).unwrap_or_else(|| {
-                    eprintln!(
-                        "bad pattern `{v}` (want poisson, bursty:ON:OFF, \
-                         or diurnal:LOW:HIGH:PERIOD)"
-                    );
-                    usage();
-                })
-            }
-            "rate" => rates.push(v.parse().unwrap_or_else(|_| usage())),
-            "rates" => {
-                for r in v.split(',') {
-                    rates.push(r.trim().parse().unwrap_or_else(|_| usage()));
-                }
-            }
-            "requests" => plan.requests = v.parse().unwrap_or_else(|_| usage()),
-            "sources" => plan.sources = v.parse().unwrap_or_else(|_| usage()),
-            "workers" => plan.workers = v.parse().unwrap_or_else(|_| usage()),
-            "egress" => plan.egress = v.parse().unwrap_or_else(|_| usage()),
-            "service" => plan.service_cycles = v.parse().unwrap_or_else(|_| usage()),
-            "jitter" => plan.service_jitter_pct = v.parse().unwrap_or_else(|_| usage()),
-            "poll" => plan.poll_cycles = v.parse().unwrap_or_else(|_| usage()),
-            "seed" => plan.seed = v.parse().unwrap_or_else(|_| usage()),
-            "slo-p99" => slo_p99_ns = v.parse().unwrap_or_else(|_| usage()),
-            "depth-slo" => depth_slo = v.parse().unwrap_or_else(|_| usage()),
-            "jobs" => jobs = v.parse().unwrap_or_else(|_| usage()),
-            "out" => out = Some(v.to_string()),
-            "tsv-out" => tsv_out = Some(v.to_string()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
+    parse_keys(rest, |v| {
+        match v.key {
+            "backend" => backend = v.with(BackendKind::parse),
+            "pattern" => plan.pattern = v.with(parse_pattern),
+            "rate" => rates.push(v.parse()),
+            "rates" => rates.extend(v.list::<u64>()),
+            "requests" => plan.requests = v.parse(),
+            "sources" => plan.sources = v.parse(),
+            "workers" => plan.workers = v.parse(),
+            "egress" => plan.egress = v.parse(),
+            "service" => plan.service_cycles = v.parse(),
+            "jitter" => plan.service_jitter_pct = v.parse(),
+            "poll" => plan.poll_cycles = v.parse(),
+            "seed" => plan.seed = v.parse(),
+            "slo-p99" => slo_p99_ns = v.parse(),
+            "depth-slo" => depth_slo = v.parse(),
+            "jobs" => jobs = v.jobs(),
+            "out" => out = Some(v.raw.into()),
+            "tsv-out" => tsv_out = Some(v.raw.into()),
+            _ => return false,
         }
-    }
+        true
+    });
     if let Err(e) = plan.validate() {
         eprintln!("invalid plan: {e}");
         usage();
@@ -869,11 +849,6 @@ fn load_main(args: &[String]) {
     if rates.is_empty() {
         rates = loadgen::default_rates(&plan);
     }
-    let jobs = if jobs == 0 {
-        runner::default_jobs()
-    } else {
-        jobs
-    };
     let spec = SweepSpec {
         plan,
         queue,
@@ -1021,44 +996,22 @@ fn scenario_main(args: &[String]) {
     let mut spec = ScenarioSpec::smoke(family);
     let mut out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    for kv in &args[1..] {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "queue" => {
-                spec.queue = QueueKind::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown queue `{v}`");
-                    usage();
-                });
-                continue;
-            }
-            "out" => {
-                out = Some(v.to_string());
-                continue;
-            }
-            "trace-out" => {
-                trace_out = Some(v.to_string());
-                continue;
-            }
-            _ => {}
+    parse_keys(&args[1..], |v| {
+        match v.key {
+            "queue" => spec.queue = v.with(QueueKind::parse),
+            "out" => out = Some(v.raw.into()),
+            "trace-out" => trace_out = Some(v.raw.into()),
+            "workers" => spec.workers = v.parse(),
+            "ops" => spec.ops = v.parse(),
+            "period" => spec.period = v.parse(),
+            "cost" => spec.cost = v.parse(),
+            "batch" => spec.batch = v.parse(),
+            "divider" => spec.divider = v.parse(),
+            "seed" => spec.seed = v.parse(),
+            _ => return false,
         }
-        let n: u64 = v.parse().unwrap_or_else(|_| usage());
-        match k {
-            "workers" => spec.workers = n as usize,
-            "ops" => spec.ops = n,
-            "period" => spec.period = n,
-            "cost" => spec.cost = n,
-            "batch" => spec.batch = n,
-            "divider" => spec.divider = n,
-            "seed" => spec.seed = n,
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
-    }
+        true
+    });
     spec.trace = trace_out.is_some();
 
     let outcome = run_scenario(&spec);
@@ -1102,7 +1055,7 @@ fn main() {
         }
         _ => {}
     }
-    let spec = parse_run_spec(&args, |_, _| false);
+    let spec = parse_run_spec(&args, |_| false);
     let m = match spec.backend {
         BackendKind::Sim => run_workload(spec.queue, &spec.w),
         BackendKind::Native => run_workload_native(spec.queue, &spec.w),

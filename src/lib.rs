@@ -21,8 +21,7 @@
 //! | [`mod@bench`] | workloads + drivers regenerating every paper figure |
 //!
 //! Start with `examples/quickstart.rs` for the production queue API, and
-//! `cargo run --release -p bench --bin figures -- all` for the paper's
-//! evaluation.
+//! `simctl fig all` for the paper's evaluation.
 
 pub use absmem;
 pub use baselines;
