@@ -120,6 +120,16 @@ pub struct MachineConfig {
     /// what staggers simultaneous requesters on real hardware; with 0 the
     /// deterministic simulator keeps contending cores in artificial
     /// lockstep.
+    ///
+    /// Service order is not strict arrival order. A request that finds
+    /// its slice busy is queued again for the cycle the slice frees,
+    /// behind everything already queued for that cycle, and events due in
+    /// one cycle run in the order they were queued. So a request arriving
+    /// exactly when the slice frees (queued when it was sent, one hop
+    /// earlier) beats the waiters that parked after it was sent (all of
+    /// them when the hop is at least `dir_occupancy`), and waiters are
+    /// served in the order in which they last queued, not the order in
+    /// which they first arrived.
     pub dir_occupancy: u64,
     /// Private-cache controller occupancy: minimum spacing between two
     /// *incoming coherence requests* (Fwd-GetS/Fwd-GetM/Inv) one cache

@@ -284,7 +284,9 @@ fn drive(eng: &Engine, me: usize) -> DriveOut {
             "deadlock: live threads but no events;{}",
             st.sim.stuck_report()
         );
-        st.pending.extend(st.sim.resumes.drain(..));
+        if !st.sim.resumes.is_empty() {
+            st.pending.extend(st.sim.resumes.drain(..));
+        }
     }
 }
 
@@ -649,7 +651,9 @@ impl FiberPump {
                 "deadlock: live threads but no events;{}",
                 self.sim.stuck_report()
             );
-            self.pending.extend(self.sim.resumes.drain(..));
+            if !self.sim.resumes.is_empty() {
+                self.pending.extend(self.sim.resumes.drain(..));
+            }
         }
     }
 }
@@ -1136,7 +1140,9 @@ fn run_phase(eng: &Engine, initial: std::ops::Range<usize>) {
             "deadlock: live threads but no events;{}",
             st.sim.stuck_report()
         );
-        st.pending.extend(st.sim.resumes.drain(..));
+        if !st.sim.resumes.is_empty() {
+            st.pending.extend(st.sim.resumes.drain(..));
+        }
     };
     if handed_off {
         while eng.done.load(Ordering::Acquire) == 0 {

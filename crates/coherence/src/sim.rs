@@ -508,6 +508,9 @@ enum Event {
     /// [`crate::component`]). Never pushed when no components are
     /// configured, so the component-free event stream is unchanged.
     CompTick { comp: u32 },
+    /// A run of requests waiting for directory slice `home` to free:
+    /// `Sim::dir_runs[run]`, oldest first (see `Sim::dir_park`).
+    DirWait { home: u32, run: u32 },
 }
 
 struct HeapItem {
@@ -681,6 +684,25 @@ impl EventQ {
             self.bucket_push(time % WHEEL, ev);
         } else {
             self.far.push(HeapItem { time, seq, ev });
+        }
+    }
+
+    /// The event queued last at `time`, if `time` is within the horizon
+    /// and anything is queued there: a push at `time` lands right after
+    /// it. `None` past the horizon, where the overflow heap keeps no
+    /// per-time order to inspect.
+    #[inline]
+    fn tail(&self, clock: u64, time: u64) -> Option<&Event> {
+        debug_assert!(
+            time >= clock,
+            "EventQ::tail: time {time} before clock {clock}"
+        );
+        if time - clock >= WHEEL {
+            return None;
+        }
+        match self.tails[(time % WHEEL) as usize] {
+            NIL => None,
+            n => Some(&self.nodes[n as usize].ev),
         }
     }
 
@@ -942,6 +964,11 @@ pub struct Sim {
     /// the interconnect. A separate map rather than the line arena so
     /// the policy cannot perturb intern order.
     first_touch: FxHashMap<u64, usize>,
+    /// Requests parked until their directory slice frees, one FIFO per
+    /// queued `Event::DirWait`. Slots are recycled through
+    /// `dir_runs_free`, so the steady state allocates nothing.
+    dir_runs: Vec<VecDeque<Msg>>,
+    dir_runs_free: Vec<u32>,
     /// Earliest time each cache can serve its next incoming request.
     cache_free_at: Vec<u64>,
     /// Reusable buffer for released stalled messages.
@@ -990,6 +1017,8 @@ impl Sim {
             dir_free_at: vec![0; nsockets],
             nsockets,
             first_touch: FxHashMap::default(),
+            dir_runs: Vec::new(),
+            dir_runs_free: Vec::new(),
             cache_free_at: vec![0; ncaches],
             stall_scratch: Vec::new(),
             wb_scratch: VecDeque::new(),
@@ -1182,6 +1211,7 @@ impl Sim {
                 }
             }
             Event::CompTick { comp } => self.comp_tick(comp as usize),
+            Event::DirWait { home, run } => self.dir_wake(home as usize, run),
         }
         if self.cfg.check_invariants {
             if self.check_countdown == 0 {
@@ -1711,23 +1741,100 @@ impl Sim {
     // ------------------------------------------------------------------
 
     fn dir_handle(&mut self, msg: Msg) {
-        let from = match msg {
-            Msg::GetS { from, .. } | Msg::GetM { from, .. } | Msg::WbData { from, .. } => from,
-            other => panic!("directory cannot handle {other:?}"),
-        };
         // Directory occupancy: each home socket's slice retires at most
         // one request per `dir_occupancy` cycles; simultaneous arrivals
         // are naturally staggered, exactly like a real LLC slice. Under
         // the fixed policy every line shares the `home_socket` slice.
         if self.cfg.dir_occupancy > 0 {
-            let home = self.home_socket_of(msg.line(), from);
+            let home = self.home_socket_of(msg.line(), dir_requester(&msg));
             if self.clock < self.dir_free_at[home] {
-                let at = self.dir_free_at[home];
-                self.push(at, Event::Deliver { to: Node::Dir, msg });
+                self.dir_park(home, msg);
                 return;
             }
             self.dir_free_at[home] = self.clock + self.cfg.dir_occupancy;
         }
+        self.dir_serve(msg);
+    }
+
+    /// Parks `msg` until slice `home` frees. Each parked request used to
+    /// be re-delivered at `dir_free_at[home]`, where only one can win, so
+    /// a burst of k requests cost O(k²) events. A re-delivery does nothing
+    /// but take a new `(time, seq)` place, so requests that would have
+    /// been queued back to back at the same time share one `DirWait`
+    /// event instead: `msg` joins the run queued last at that time if it
+    /// is this slice's, and starts a new run otherwise.
+    fn dir_park(&mut self, home: usize, msg: Msg) {
+        let at = self.dir_free_at[home];
+        if let Some(tail) = self.dir_run_at(home, at) {
+            self.dir_runs[tail as usize].push_back(msg);
+            return;
+        }
+        let run = match self.dir_runs_free.pop() {
+            Some(run) => run,
+            None => {
+                self.dir_runs.push(VecDeque::new());
+                (self.dir_runs.len() - 1) as u32
+            }
+        };
+        self.dir_runs[run as usize].push_back(msg);
+        self.push(
+            at,
+            Event::DirWait {
+                home: home as u32,
+                run,
+            },
+        );
+    }
+
+    /// The run at the tail of time `at`'s events, if it waits for `home`.
+    fn dir_run_at(&self, home: usize, at: u64) -> Option<u32> {
+        match self.events.tail(self.clock, at) {
+            Some(&Event::DirWait { home: h, run }) if h as usize == home => Some(run),
+            _ => None,
+        }
+    }
+
+    /// A waiting run's time has come: serve its head if the slice is free,
+    /// then park the rest again. This is exactly what the members' own
+    /// re-deliveries did one by one: they sat next to each other in their
+    /// bucket, and serving a directory request resumes no thread, so
+    /// nothing ran between them. The served head's replies are queued
+    /// before the rest parks again, as they were queued before the next
+    /// member's re-delivery, so a reply due at the slice's next free time
+    /// splits the run where it split the members.
+    fn dir_wake(&mut self, home: usize, run: u32) {
+        if self.clock >= self.dir_free_at[home] {
+            let msg = self.dir_runs[run as usize]
+                .pop_front()
+                .expect("a queued waiting run is never empty");
+            self.dir_free_at[home] = self.clock + self.cfg.dir_occupancy;
+            self.dir_serve(msg);
+        }
+        if self.dir_runs[run as usize].is_empty() {
+            self.dir_runs_free.push(run);
+            return;
+        }
+        let at = self.dir_free_at[home];
+        match self.dir_run_at(home, at) {
+            Some(tail) => {
+                let mut rest = std::mem::take(&mut self.dir_runs[run as usize]);
+                self.dir_runs[tail as usize].append(&mut rest);
+                self.dir_runs[run as usize] = rest;
+                self.dir_runs_free.push(run);
+            }
+            None => self.push(
+                at,
+                Event::DirWait {
+                    home: home as u32,
+                    run,
+                },
+            ),
+        }
+    }
+
+    /// Handles a directory request the slice has accepted.
+    fn dir_serve(&mut self, msg: Msg) {
+        let from = dir_requester(&msg);
         let line = self.lines.intern(msg.line());
         let e = self.dir.entry(line);
         // Queue behind a transient state (except the writeback that
@@ -1901,6 +2008,10 @@ impl Sim {
         // Controller occupancy for *serving requests*: a cache retires at
         // most one incoming Fwd/Inv per `cache_occupancy` cycles. Response
         // messages (Data/InvAck) are pipelined and bypass the limit.
+        // Unlike the directory's (`dir_park`), these re-deliveries are not
+        // coalesced into runs: serving a cache request can resume a thread,
+        // which then runs before the next re-delivery pops, so merging
+        // them would reorder events.
         if self.cfg.cache_occupancy > 0
             && matches!(
                 msg,
@@ -2358,6 +2469,16 @@ pub mod testhooks {
             );
         }
 
+        /// Payload of the event queued last at `time`, as directory
+        /// waiting sees it: `None` when nothing is queued there or `time`
+        /// is past the wheel horizon.
+        pub fn tail(&self, time: u64) -> Option<u64> {
+            match *self.q.tail(self.clock, time)? {
+                Event::IssueOp { core } => Some(core as u64),
+                _ => unreachable!("probe only pushes IssueOp events"),
+            }
+        }
+
         /// Pops the earliest event, advancing the clock to its time.
         pub fn pop(&mut self) -> Option<(u64, u64)> {
             let (time, ev) = self.q.pop(self.clock)?;
@@ -2367,6 +2488,14 @@ pub mod testhooks {
             };
             Some((time, core as u64))
         }
+    }
+}
+
+/// The requesting core of a directory-bound message.
+fn dir_requester(msg: &Msg) -> usize {
+    match *msg {
+        Msg::GetS { from, .. } | Msg::GetM { from, .. } | Msg::WbData { from, .. } => from,
+        other => panic!("directory cannot handle {other:?}"),
     }
 }
 

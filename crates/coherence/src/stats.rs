@@ -62,7 +62,9 @@ pub struct Stats {
     /// Scheduler events processed (`Sim::step` calls that dispatched an
     /// event). A wall-clock cost measure — how much engine work a run
     /// took — not a protocol observable; excluded from the determinism
-    /// fingerprint.
+    /// fingerprint. Requests waiting for a busy directory slice wake as
+    /// one run, and one run's wake counts as one event however many
+    /// requests it holds.
     pub events: u64,
     /// Messages whose endpoints sat on the same socket (a directory leg
     /// is priced at the line's home socket — see

@@ -7,7 +7,7 @@
 //! consumers), so any divergence is a scheduler-ordering bug, not noise.
 
 use absmem::ThreadCtx;
-use coherence::{ComponentSpec, Machine, MachineConfig, Program, RunReport, SimCtx};
+use coherence::{ComponentSpec, HomePolicy, Machine, MachineConfig, Program, RunReport, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -54,13 +54,14 @@ fn fingerprint(r: &RunReport) -> String {
 /// FAA and CAS, shared reads, exclusive writes, swap, delays, an HTM
 /// transaction with retry, allocation/free, and a mid-run barrier.
 /// `os_threads` forces the OS-thread scheduler instead of the default
-/// fiber scheduler (where fibers are supported). `heartbeat` attaches a
-/// benign no-op component — the fingerprint must not move.
+/// fiber scheduler (where fibers are supported). `tweak` adjusts the
+/// machine after the fixture's own settings (a timing variant, or a
+/// benign no-op component under which the fingerprint must not move).
 fn fixed_workload_full(
     cores: usize,
     dual_socket: bool,
     os_threads: bool,
-    heartbeat: bool,
+    tweak: fn(&mut MachineConfig),
 ) -> RunReport {
     let mut cfg = if dual_socket {
         MachineConfig::dual_socket(cores.div_ceil(2))
@@ -70,12 +71,7 @@ fn fixed_workload_full(
     cfg.delay_jitter_pct = 0;
     cfg.spurious_abort_prob = 0.0;
     cfg.os_thread_scheduler = os_threads;
-    if heartbeat {
-        cfg.components.push(ComponentSpec::Heartbeat {
-            period: 61,
-            count: 0,
-        });
-    }
+    tweak(&mut cfg);
     let shared = Arc::new(AtomicU64::new(0));
     let programs: Vec<Program> = (0..cores)
         .map(|i| {
@@ -156,7 +152,15 @@ fn fixed_workload_full(
 
 /// The fixture without components attached.
 fn fixed_workload_on(cores: usize, dual_socket: bool, os_threads: bool) -> RunReport {
-    fixed_workload_full(cores, dual_socket, os_threads, false)
+    fixed_workload_full(cores, dual_socket, os_threads, |_| {})
+}
+
+/// The fixture with a benign no-op heartbeat component attached.
+fn with_heartbeat(cfg: &mut MachineConfig) {
+    cfg.components.push(ComponentSpec::Heartbeat {
+        period: 61,
+        count: 0,
+    });
 }
 
 /// The fixture on the default scheduler (fibers on x86_64).
@@ -302,18 +306,173 @@ fn schedulers_agree_with_each_other() {
 /// This is the component spine's central determinism claim.
 #[test]
 fn benign_component_matches_component_free_goldens() {
-    let fp = fingerprint(&fixed_workload_full(4, false, false, true));
+    let fp = fingerprint(&fixed_workload_full(4, false, false, with_heartbeat));
     assert_eq!(
         normalize(&fp),
         normalize(GOLDEN_4_SINGLE),
         "a no-op heartbeat component perturbed the single-socket golden"
     );
-    let fp = fingerprint(&fixed_workload_full(6, true, true, true));
+    let fp = fingerprint(&fixed_workload_full(6, true, true, with_heartbeat));
     assert_eq!(
         normalize(&fp),
         normalize(GOLDEN_6_DUAL),
         "a no-op heartbeat component perturbed the dual-socket golden (OS threads)"
     );
+}
+
+/// Timing variants in which requests waiting for a busy directory slice
+/// can share a cycle with other events: occupancy above the hop latency,
+/// occupancy equal to it (a served request's replies land in the cycle
+/// the slice frees), one-cycle hops, scheduler perturbation, and the
+/// distributed home policies with several slices. Each row is `(name,
+/// cores, dual_socket, tweak, golden)`; the goldens were recorded before
+/// directory waiting was coalesced into runs, and the change must
+/// reproduce them on both schedulers.
+type Variant = (
+    &'static str,
+    usize,
+    bool,
+    fn(&mut MachineConfig),
+    &'static str,
+);
+const VARIANT_GOLDENS: &[Variant] = &[
+    (
+        "occupancy-30",
+        16,
+        false,
+        |c| c.dir_occupancy = 30,
+        "end=38975 core_end_len=16 min=37005 max=38975 sum=611060 \
+            msgs=[GetS:213 GetM:366 Data:230 Inv:256 InvAck:256 Fwd-GetS:116 Fwd-GetM:233 DataOwner:349 WbData:116 ] \
+            ops=[read:521 write:153 cas:160 faa:164 swap:4 delay:13 xbegin:9 xend:4 xabort:0 ] \
+            commits=4 conflicts=5 explicit=0 spurious=0 tripped=0 stalls=320 fix_stalls=0",
+    ),
+    (
+        "occupancy-equals-hop",
+        16,
+        false,
+        |c| c.dir_occupancy = 25,
+        "end=33552 core_end_len=16 min=31917 max=33552 sum=526167 \
+            msgs=[GetS:216 GetM:368 Data:233 Inv:260 InvAck:260 Fwd-GetS:116 Fwd-GetM:235 DataOwner:351 WbData:116 ] \
+            ops=[read:521 write:153 cas:160 faa:164 swap:4 delay:13 xbegin:9 xend:4 xabort:0 ] \
+            commits=4 conflicts=5 explicit=0 spurious=0 tripped=0 stalls=343 fix_stalls=0",
+    ),
+    (
+        "hop-intra-1",
+        16,
+        false,
+        |c| c.hop_intra = 1,
+        "end=7732 core_end_len=16 min=7551 max=7762 sum=122516 \
+            msgs=[GetS:235 GetM:399 Data:254 Inv:308 InvAck:308 Fwd-GetS:131 Fwd-GetM:249 DataOwner:380 WbData:131 ] \
+            ops=[read:516 write:148 cas:160 faa:164 swap:4 delay:8 xbegin:4 xend:4 xabort:0 ] \
+            commits=4 conflicts=0 explicit=0 spurious=0 tripped=0 stalls=378 fix_stalls=0",
+    ),
+    (
+        "sched-perturb",
+        16,
+        false,
+        |c| c.sched_perturb = 300,
+        "end=27997 core_end_len=16 min=26267 max=27997 sum=433373 \
+            msgs=[GetS:262 GetM:465 Data:279 Inv:345 InvAck:345 Fwd-GetS:145 Fwd-GetM:303 DataOwner:448 WbData:145 ] \
+            ops=[read:519 write:149 cas:160 faa:164 swap:4 delay:11 xbegin:7 xend:4 xabort:0 ] \
+            commits=4 conflicts=3 explicit=0 spurious=0 tripped=0 stalls=326 fix_stalls=0",
+    ),
+    (
+        "interleave",
+        16,
+        true,
+        |c| c.home_policy = HomePolicy::Interleave,
+        "end=44623 core_end_len=16 min=43191 max=44623 sum=701734 \
+            msgs=[GetS:260 GetM:472 Data:277 Inv:334 InvAck:334 Fwd-GetS:147 Fwd-GetM:308 DataOwner:455 WbData:147 ] \
+            ops=[read:523 write:152 cas:160 faa:164 swap:4 delay:15 xbegin:11 xend:4 xabort:0 ] \
+            commits=4 conflicts=7 explicit=0 spurious=0 tripped=1 stalls=444 fix_stalls=0",
+    ),
+    (
+        "first-touch",
+        16,
+        true,
+        |c| c.home_policy = HomePolicy::FirstTouch,
+        "end=44801 core_end_len=16 min=42932 max=44801 sum=695391 \
+            msgs=[GetS:255 GetM:456 Data:272 Inv:316 InvAck:316 Fwd-GetS:131 Fwd-GetM:308 DataOwner:439 WbData:131 ] \
+            ops=[read:521 write:151 cas:160 faa:164 swap:4 delay:13 xbegin:9 xend:4 xabort:0 ] \
+            commits=4 conflicts=5 explicit=0 spurious=0 tripped=0 stalls=430 fix_stalls=0",
+    ),
+    (
+        "interleave-occupancy-30",
+        88,
+        true,
+        |c| {
+            c.home_policy = HomePolicy::Interleave;
+            c.dir_occupancy = 30;
+        },
+        "end=754898 core_end_len=88 min=742855 max=754898 sum=66024312 \
+            msgs=[GetS:1304 GetM:2230 Data:1392 Inv:1593 InvAck:1593 Fwd-GetS:565 Fwd-GetM:1577 DataOwner:2142 WbData:565 ] \
+            ops=[read:2861 write:801 cas:880 faa:902 swap:22 delay:67 xbegin:45 xend:22 xabort:0 ] \
+            commits=22 conflicts=23 explicit=0 spurious=0 tripped=1 stalls=2107 fix_stalls=0",
+    ),
+];
+
+#[test]
+fn timing_variants_match_their_goldens_on_both_schedulers() {
+    for &(name, cores, dual, tweak, golden) in VARIANT_GOLDENS {
+        for os_threads in [false, true] {
+            let fp = fingerprint_wide(&fixed_workload_full(cores, dual, os_threads, tweak));
+            assert_eq!(
+                normalize(&fp),
+                normalize(golden),
+                "variant {name} diverged from its golden (os_threads={os_threads})"
+            );
+        }
+    }
+}
+
+/// Two directory slices kept busy in lockstep: on a first-touch dual
+/// socket machine, each socket's cores hammer their own word, so each
+/// word homes on its own socket and the two slices free in the same
+/// cycles. Requests for the two slices then park for the same cycle
+/// alternately, and each must wait on its own slice's occupancy.
+fn two_slices_in_lockstep(os_threads: bool) -> RunReport {
+    let per_socket = 4;
+    let mut cfg = MachineConfig::dual_socket(per_socket);
+    cfg.home_policy = HomePolicy::FirstTouch;
+    cfg.delay_jitter_pct = 0;
+    cfg.os_thread_scheduler = os_threads;
+    let shared = Arc::new(AtomicU64::new(0));
+    let programs: Vec<Program> = (0..2 * per_socket)
+        .map(|i| {
+            let shared = Arc::clone(&shared);
+            Box::new(move |ctx: &mut SimCtx| {
+                let word = shared.load(SeqCst) + (i / per_socket) as u64;
+                for _ in 0..30 {
+                    let old = ctx.read(word);
+                    ctx.cas(word, old, old + 1);
+                    ctx.faa(word, 1);
+                }
+            }) as Program
+        })
+        .collect();
+    let s2 = Arc::clone(&shared);
+    Machine::new(cfg).run(
+        Box::new(move |ctx| s2.store(ctx.alloc(2), SeqCst)),
+        programs,
+    )
+}
+
+/// Recorded before directory waiting was coalesced into runs.
+const GOLDEN_TWO_SLICES: &str = "end=13133 core_end_len=8 min=12996 max=13133 sum=104482 \
+    msgs=[GetS:234 GetM:478 Data:236 Inv:298 InvAck:298 Fwd-GetS:120 Fwd-GetM:356 DataOwner:476 WbData:120 ] \
+    ops=[read:240 write:0 cas:240 faa:240 swap:0 delay:0 xbegin:0 xend:0 xabort:0 ] \
+    commits=0 conflicts=0 explicit=0 spurious=0 tripped=0 stalls=476 fix_stalls=0";
+
+#[test]
+fn two_slices_in_lockstep_match_their_golden_on_both_schedulers() {
+    for os_threads in [false, true] {
+        let fp = fingerprint_wide(&two_slices_in_lockstep(os_threads));
+        assert_eq!(
+            normalize(&fp),
+            normalize(GOLDEN_TWO_SLICES),
+            "two-slice lockstep diverged from its golden (os_threads={os_threads})"
+        );
+    }
 }
 
 /// The fixture under a randomized machine configuration derived from

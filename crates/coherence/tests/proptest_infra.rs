@@ -69,6 +69,47 @@ fn wheel_matches_heap_oracle_on_random_schedules() {
     }
 }
 
+/// `tail(t)` must name the payload pushed last among the events still
+/// queued at `t` while `t` is inside the 256-cycle horizon (directory
+/// waiting appends to that event's run), and `None` beyond it, including
+/// after far events have migrated into the wheel.
+#[test]
+fn wheel_tail_is_the_last_event_queued_at_that_time() {
+    const HORIZON: u64 = 256;
+    for seed in 0..8u64 {
+        let mut rng = SimRng::seed_from_u64(0x7a11 ^ seed.wrapping_mul(0x9e37_79b9));
+        let mut wheel = WheelProbe::new();
+        let mut oracle = HeapOracle::default();
+        let mut payload = 0u64;
+        for step in 0..3_000 {
+            if wheel.is_empty() || rng.gen_bool(0.55) {
+                let offset = match rng.gen_usize(8) {
+                    0 => 0,
+                    1..=5 => rng.gen_range_inclusive(1, 16),
+                    _ => rng.gen_range_inclusive(200, 600),
+                };
+                payload += 1;
+                wheel.push(wheel.clock() + offset, payload);
+                oracle.push(wheel.clock() + offset, payload);
+            } else {
+                assert_eq!(wheel.pop(), oracle.pop(), "seed {seed} step {step}");
+            }
+            let t = wheel.clock() + rng.gen_range_inclusive(0, 300);
+            let want = if t - wheel.clock() >= HORIZON {
+                None
+            } else {
+                oracle
+                    .heap
+                    .iter()
+                    .filter(|Reverse((time, _, _))| *time == t)
+                    .max_by_key(|Reverse((_, seq, _))| *seq)
+                    .map(|Reverse((_, _, p))| *p)
+            };
+            assert_eq!(wheel.tail(t), want, "seed {seed} step {step}: tail({t})");
+        }
+    }
+}
+
 #[test]
 fn wheel_is_fifo_within_a_tick() {
     // Events at the same time must pop in push order (the seq

@@ -115,10 +115,12 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
     // Ring spans/instants, one track per recording thread.
     let mut tracks: BTreeSet<u64> = BTreeSet::new();
     let mut dropped = 0u64;
+    let mut clock_anomalies = 0u64;
     for log in logs {
         let track = log.tid as u64 + 1;
         tracks.insert(track);
         dropped += log.dropped;
+        clock_anomalies += log.clock_anomalies;
         for e in &log.events {
             match *e {
                 ObsEvent::Span {
@@ -128,8 +130,7 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
                     arg,
                 } => {
                     let args = format!("\"v\":\"{arg:#x}\"");
-                    let json =
-                        span_json(kind.name(), start, end.saturating_sub(start), track, &args);
+                    let json = span_json(kind.name(), start, end - start, track, &args);
                     push(&mut entries, start, track, json);
                 }
                 ObsEvent::Instant { kind, ts, arg } => {
@@ -228,9 +229,16 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
 
     let mut out = String::new();
     out.push_str("{\n\"displayTimeUnit\":\"ns\",\n");
+    // Clock anomalies are exported only when there are any, so a
+    // clean trace keeps its bytes.
+    let anomalies = if clock_anomalies > 0 {
+        format!(",\"clock_anomalies\":{clock_anomalies}")
+    } else {
+        String::new()
+    };
     let _ = writeln!(
         out,
-        "\"otherData\":{{\"tool\":\"sbq-obs\",\"version\":\"1\",\"clock\":\"cycles\",\"backend\":\"{}\",\"dropped\":{dropped}}},",
+        "\"otherData\":{{\"tool\":\"sbq-obs\",\"version\":\"1\",\"clock\":\"cycles\",\"backend\":\"{}\",\"dropped\":{dropped}{anomalies}}},",
         esc(meta.backend)
     );
     out.push_str("\"traceEvents\":[\n");
@@ -306,7 +314,7 @@ pub fn export_tsv(logs: &[ThreadLog]) -> String {
                         log.tid,
                         kind.name(),
                         start,
-                        end.saturating_sub(start)
+                        end - start
                     );
                 }
                 ObsEvent::Instant { kind, ts, arg } => {
@@ -478,6 +486,17 @@ mod tests {
         let a = export(&sample_logs(), &sample_sim_trace(), &meta());
         let b = export(&sample_logs(), &sample_sim_trace(), &meta());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn clock_anomalies_are_exported_only_when_nonzero() {
+        let mut logs = sample_logs();
+        let clean = export(&logs, &[], &meta());
+        assert!(!clean.contains("clock_anomalies"));
+        logs[0].clock_anomalies = 2;
+        let json = export(&logs, &[], &meta());
+        validate(&json).expect("anomaly count must validate");
+        assert!(json.contains("\"dropped\":0,\"clock_anomalies\":2}"));
     }
 
     #[test]

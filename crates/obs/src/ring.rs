@@ -6,7 +6,9 @@
 //! no allocation, no clock reads (callers pass timestamps they already
 //! have). When the buffer is full, further events are counted in
 //! `dropped` and discarded — deterministically, so a truncated trace of
-//! a fixed simulation is still byte-stable.
+//! a fixed simulation is still byte-stable. A span that ends before it
+//! starts is a clock fault, not a latency: it is counted in
+//! `clock_anomalies` and recorded nowhere else.
 //!
 //! At thread exit the buffer is handed to the shared [`ObsSink`] (one
 //! mutex acquisition per thread per run, off the measured path). The
@@ -26,10 +28,13 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 pub struct ThreadLog {
     /// Recording thread id (dense, matches the backend's thread ids).
     pub tid: usize,
-    /// Events in recording order (monotone `ts` per thread).
+    /// Events in recording order (monotone `ts` per thread). No span in
+    /// it ends before it starts.
     pub events: Vec<ObsEvent>,
     /// Events discarded after the buffer filled.
     pub dropped: u64,
+    /// Spans discarded because they ended before they started.
+    pub clock_anomalies: u64,
     /// Span latencies (end - start cycles) for enqueue-like spans.
     pub enq_hist: Histogram,
     /// Span latencies for dequeue-like spans (including empties/drains).
@@ -45,6 +50,7 @@ pub struct ThreadObs {
     cap: usize,
     events: Vec<ObsEvent>,
     dropped: u64,
+    clock_anomalies: u64,
     enq_hist: Histogram,
     deq_hist: Histogram,
 }
@@ -56,6 +62,7 @@ impl ThreadObs {
             cap,
             events: Vec::with_capacity(cap.min(DEFAULT_RING_CAPACITY)),
             dropped: 0,
+            clock_anomalies: 0,
             enq_hist: Histogram::new(),
             deq_hist: Histogram::new(),
         }
@@ -71,10 +78,14 @@ impl ThreadObs {
     }
 
     /// Records a completed span `[start, end]` and folds its latency
-    /// into the matching histogram.
+    /// into the matching histogram. An inverted span (`end < start`) is
+    /// counted in `clock_anomalies` instead.
     #[inline]
     pub fn span(&mut self, kind: SpanKind, start: u64, end: u64, arg: u64) {
-        let lat = end.saturating_sub(start);
+        let Some(lat) = end.checked_sub(start) else {
+            self.clock_anomalies += 1;
+            return;
+        };
         match kind {
             SpanKind::Enqueue => self.enq_hist.record(lat),
             SpanKind::Dequeue | SpanKind::DequeueEmpty | SpanKind::Drain => {
@@ -147,6 +158,7 @@ impl ObsSink {
                 tid: t.tid,
                 events: t.events,
                 dropped: t.dropped,
+                clock_anomalies: t.clock_anomalies,
                 enq_hist: t.enq_hist,
                 deq_hist: t.deq_hist,
             });
@@ -219,6 +231,22 @@ mod tests {
         // still a prefix, hence byte-stable.
         assert_eq!(logs[0].events[0].ts(), 0);
         assert_eq!(logs[0].events[1].ts(), 1);
+    }
+
+    #[test]
+    fn inverted_span_is_counted_not_recorded() {
+        let sink = ObsSink::new(16);
+        let mut t = sink.thread(0);
+        t.span(SpanKind::Enqueue, 10, 25, 0);
+        t.span(SpanKind::Enqueue, 40, 39, 0);
+        t.span(SpanKind::Dequeue, 50, 20, 0);
+        sink.submit(t);
+        let logs = sink.take_logs();
+        assert_eq!(logs[0].clock_anomalies, 2);
+        assert_eq!(logs[0].enq_hist.count(), 1);
+        assert_eq!(logs[0].deq_hist.count(), 0);
+        assert_eq!(logs[0].events.len(), 1);
+        assert_eq!(logs[0].dropped, 0);
     }
 
     #[test]
